@@ -79,7 +79,8 @@ use crate::error::{ConfigError, Error};
 use crate::online::OnlineEstimator;
 use linalg::Matrix;
 use probes::stream::StreamingTcm;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 use telemetry::Level;
 
@@ -521,9 +522,10 @@ pub struct Service {
     queue: VecDeque<Queued>,
     window: StreamingTcm,
     estimator: OnlineEstimator,
-    /// Last admitted speed per (vehicle, timestamp, segment) key —
-    /// the dedup table; pruned as slots leave the window.
-    seen: HashMap<(u64, u64, usize), f64>,
+    /// The dedup table: last admitted speed per `(vehicle, timestamp,
+    /// segment)` key, one map per ring slot (`abs_slot % window_slots`).
+    /// Evicting a slot clears its map in place, keeping the capacity.
+    seen: Vec<HashMap<(u64, u64, usize), f64>>,
     last_good: Option<LiveEstimate>,
     /// Simulated clock: the maximum timestamp ingested so far.
     clock_s: u64,
@@ -545,20 +547,28 @@ pub struct Service {
     /// read it via [`Service::e2e_histogram`] without a metrics sink.
     e2e: telemetry::Histogram,
     /// XOR-fold of [`cell_hash`] over every observed window cell — an
-    /// order-independent running digest of window content, maintained
-    /// O(1) per admission and O(segments) per slot eviction. Keyed by
-    /// absolute slot, so sliding the window does not disturb surviving
-    /// cells' contributions.
+    /// order-independent running digest of window content. Admission
+    /// folds it once per touched cell (see `touched`), eviction
+    /// O(segments) per evicted slot. Keyed by absolute slot, so sliding
+    /// the window does not disturb surviving cells' contributions.
     digest: u64,
     /// Content key of the window at the last successful solve; a dirty
     /// tick whose current key matches is a solve-cache hit.
     last_solve_key: Option<u64>,
-    /// `(absolute slot, segment)` cells whose content changed since the
-    /// last solve — the dirty set the incremental path re-solves.
-    dirty_cells: HashSet<(usize, u32)>,
+    /// Cells whose content changed since the last solve — the dirty set
+    /// the incremental path re-solves.
+    dirty_bits: SlotBits,
     /// Segment columns that lost cells to slot eviction since the last
-    /// solve; they join the dirty columns of the next delta pass.
-    evicted_cols: HashSet<u32>,
+    /// solve (a single bitset row); they join the dirty columns of the
+    /// next delta pass.
+    evicted_bits: SlotBits,
+    /// `(absolute slot, segment, sum, count)` of each cell the current
+    /// drain touched, as it was before the first touch. The drain's end
+    /// (or a slide) folds them into `digest`: the old state out, the
+    /// current state in — intermediate states cancel under XOR.
+    touched: Vec<(usize, u32, f64, f64)>,
+    /// Membership marks of `touched`.
+    touched_bits: SlotBits,
     /// Solve-cache and incremental-path breakdown.
     solve_stats: SolveStats,
     /// Successful solves since the last full sweep — drives the
@@ -581,6 +591,63 @@ fn cell_hash(abs_slot: usize, segment: u32, sum: f64, count: f64) -> u64 {
     h.finish()
 }
 
+/// Bitset rows over the segment columns, one per ring slot (`abs_slot %
+/// window_slots`), or a single row: clearing an evicted slot's row is a
+/// `fill(0)`, and rows and columns read back in ascending order straight
+/// from the bits.
+#[derive(Debug)]
+struct SlotBits {
+    /// `u64` words per row: `ceil(num_segments / 64)`.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl SlotBits {
+    fn new(slots: usize, segments: usize) -> Self {
+        let words = segments.div_ceil(64);
+        Self { words, bits: vec![0; slots * words] }
+    }
+
+    /// Sets bit `(ring, segment)`; returns whether it was newly set.
+    fn insert(&mut self, ring: usize, segment: usize) -> bool {
+        let word = &mut self.bits[ring * self.words + segment / 64];
+        let mask = 1u64 << (segment % 64);
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        fresh
+    }
+
+    fn remove(&mut self, ring: usize, segment: usize) {
+        self.bits[ring * self.words + segment / 64] &= !(1u64 << (segment % 64));
+    }
+
+    fn row(&self, ring: usize) -> &[u64] {
+        &self.bits[ring * self.words..(ring + 1) * self.words]
+    }
+
+    fn clear_row(&mut self, ring: usize) {
+        self.bits[ring * self.words..(ring + 1) * self.words].fill(0);
+    }
+
+    fn clear(&mut self) {
+        self.bits.fill(0);
+    }
+}
+
+/// Indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
 impl Service {
     /// Builds the service, validating the configuration.
     ///
@@ -598,13 +665,14 @@ impl Service {
         )
         .map_err(|e| ConfigError::new("window", e.to_string()))?;
         let estimator = OnlineEstimator::new(config.cs.clone(), config.window_slots)?;
+        let (m, n) = (config.window_slots, config.num_segments);
         Ok(Self {
             clock_s: config.start_s,
             config,
             queue: VecDeque::new(),
             window,
             estimator,
-            seen: HashMap::new(),
+            seen: (0..m).map(|_| HashMap::new()).collect(),
             last_good: None,
             dirty: false,
             stats: ServeStats::default(),
@@ -614,8 +682,10 @@ impl Service {
             e2e: telemetry::Histogram::default(),
             digest: 0,
             last_solve_key: None,
-            dirty_cells: HashSet::new(),
-            evicted_cols: HashSet::new(),
+            dirty_bits: SlotBits::new(m, n),
+            evicted_bits: SlotBits::new(1, n),
+            touched: Vec::new(),
+            touched_bits: SlotBits::new(m, n),
             solve_stats: SolveStats::default(),
             solves_since_full: 0,
         })
@@ -837,32 +907,65 @@ impl Service {
         if let Some(slot) = self.window.slot_of(now_s) {
             if slot > self.window.head_slot() {
                 self.advance_window(slot);
-                self.prune_seen();
                 self.dirty = true;
             }
         }
     }
 
-    /// Advances the window head to `slot`, folding every evicted cell
-    /// out of the content digest and recording its column as dirty for
-    /// the next delta pass — eviction changes those columns' observed
-    /// entries just as surely as a new report does.
+    /// Advances the window head to `slot`. First folds the drain's
+    /// touched cells, so the digest is exact; then, for each evicted
+    /// slot — at most `window_slots` of them, however far the head
+    /// jumps — folds its cells out of the digest, records their columns
+    /// as dirty for the next delta pass (eviction changes those columns'
+    /// observed entries just as surely as a new report does), and clears
+    /// its dedup map and dirty row. Evicted cells are gone, not dirty.
     fn advance_window(&mut self, slot: usize) {
-        while self.window.head_slot() < slot {
-            let tail = self.window.tail_slot();
-            let (sums, counts) = self.window.row_raw(0);
+        self.fold_touched();
+        let m = self.config.window_slots;
+        let tail = self.window.tail_slot();
+        let evicted = (slot - self.window.head_slot()).min(m);
+        for row in 0..evicted {
+            let abs_slot = tail + row;
+            let (sums, counts) = self.window.row_raw(row);
             for (j, (&s, &c)) in sums.iter().zip(counts).enumerate() {
                 if c > 0.0 {
-                    self.digest ^= cell_hash(tail, j as u32, s, c);
-                    self.evicted_cols.insert(j as u32);
+                    self.digest ^= cell_hash(abs_slot, j as u32, s, c);
+                    self.evicted_bits.insert(0, j);
                 }
             }
-            self.window.advance_to_slot(tail + self.config.window_slots);
+            self.seen[abs_slot % m].clear();
+            self.dirty_bits.clear_row(abs_slot % m);
         }
-        // Evicted cells are gone, not dirty: their change is carried by
-        // `evicted_cols` on the column axis.
+        self.window.advance_to_slot(slot);
+    }
+
+    /// Folds the cells the current drain touched into the digest: XOR
+    /// out each cell's state before its first touch, XOR in its current
+    /// state. Intermediate states cancel under XOR, so the digest equals
+    /// the one a per-report update would reach.
+    fn fold_touched(&mut self) {
+        let m = self.config.window_slots;
         let tail = self.window.tail_slot();
-        self.dirty_cells.retain(|&(s, _)| s >= tail);
+        for &(abs_slot, segment, old_sum, old_count) in &self.touched {
+            let (sum, count) = self.window.cell_raw(abs_slot - tail, segment as usize);
+            if old_count > 0.0 {
+                self.digest ^= cell_hash(abs_slot, segment, old_sum, old_count);
+            }
+            if count > 0.0 {
+                self.digest ^= cell_hash(abs_slot, segment, sum, count);
+            }
+            self.touched_bits.remove(abs_slot % m, segment as usize);
+        }
+        self.touched.clear();
+    }
+
+    /// Applies the admission rules to every queued report, then folds
+    /// the touched cells into the digest.
+    fn drain(&mut self, report: &mut TickReport) {
+        while let Some(queued) = self.queue.pop_front() {
+            self.admit(queued, report);
+        }
+        self.fold_touched();
     }
 
     /// Drains the ingest queue through the admission rules, then — if
@@ -872,10 +975,7 @@ impl Service {
         let mut span = telemetry::span(Level::Debug, "serve.tick");
         let t0 = Instant::now();
         let mut report = TickReport::default();
-        while let Some(queued) = self.queue.pop_front() {
-            self.admit(queued, &mut report);
-        }
-        self.prune_seen();
+        self.drain(&mut report);
         if self.dirty {
             let (solved, degraded, solve_wall) = self.solve();
             report.solved = solved;
@@ -914,9 +1014,10 @@ impl Service {
         }
         let stage = if report.degraded { "degraded" } else { "solved" };
         let e2e_metric = self.latency_hists().map(|l| std::sync::Arc::clone(&l.e2e_us));
+        let now = Instant::now();
         for i in 0..self.pending.len() {
             let (trace, enqueued) = self.pending[i];
-            let us = enqueued.elapsed().as_micros() as f64;
+            let us = now.saturating_duration_since(enqueued).as_micros() as f64;
             self.e2e.observe(us);
             if let Some(h) = &e2e_metric {
                 h.observe(us);
@@ -999,40 +1100,38 @@ impl Service {
         if abs_slot > self.window.head_slot() {
             self.advance_window(abs_slot);
         }
-        let row = abs_slot - self.window.tail_slot();
-        let (old_sum, old_count) = self.window.cell_raw(row, obs.segment);
+        let ring = abs_slot % self.config.window_slots;
+        // First touch this drain: remember the cell's state for the fold.
+        if self.touched_bits.insert(ring, obs.segment) {
+            let row = abs_slot - self.window.tail_slot();
+            let (sum, count) = self.window.cell_raw(row, obs.segment);
+            self.touched.push((abs_slot, obs.segment as u32, sum, count));
+        }
         // Rule 3: exact re-delivery of an admitted key — last write wins.
-        let key = (obs.vehicle, obs.timestamp_s, obs.segment);
-        if let Some(&old_speed) = self.seen.get(&key) {
-            self.stats.duplicates += 1;
-            report.duplicates += 1;
-            if telemetry::metrics_enabled() {
-                telemetry::counter("serve.duplicates").incr();
+        // One probe of the slot's dedup map both finds and records it.
+        match self.seen[ring].entry((obs.vehicle, obs.timestamp_s, obs.segment)) {
+            Entry::Occupied(mut entry) => {
+                let old_speed = entry.insert(obs.speed_kmh);
+                self.stats.duplicates += 1;
+                report.duplicates += 1;
+                if telemetry::metrics_enabled() {
+                    telemetry::counter("serve.duplicates").incr();
+                }
+                if let Some(id) = trace {
+                    Self::trace_stage(id, "duplicate", &obs);
+                }
+                // The old contribution is still in the window (we
+                // checked lateness above); replace it.
+                let _ = self.window.retract(obs.timestamp_s, obs.segment, old_speed);
             }
-            if let Some(id) = trace {
-                Self::trace_stage(id, "duplicate", &obs);
+            Entry::Vacant(entry) => {
+                entry.insert(obs.speed_kmh);
             }
-            // The old contribution is still in the window (we checked
-            // lateness above); replace it.
-            let _ = self.window.retract(obs.timestamp_s, obs.segment, old_speed);
         }
         self.window
             .observe(obs.timestamp_s, obs.segment, obs.speed_kmh)
             .expect("validated above: segment in range, speed finite and non-negative");
-        // Fold the cell's accumulator transition into the content
-        // digest and mark it dirty. A retract+observe that lands the
-        // accumulators back on the exact old bits cancels out — the
-        // digest (and so the solve cache) tracks actual content, not
-        // traffic.
-        let (new_sum, new_count) = self.window.cell_raw(row, obs.segment);
-        if old_count > 0.0 {
-            self.digest ^= cell_hash(abs_slot, obs.segment as u32, old_sum, old_count);
-        }
-        if new_count > 0.0 {
-            self.digest ^= cell_hash(abs_slot, obs.segment as u32, new_sum, new_count);
-        }
-        self.dirty_cells.insert((abs_slot, obs.segment as u32));
-        self.seen.insert(key, obs.speed_kmh);
+        self.dirty_bits.insert(ring, obs.segment);
         self.stats.admitted += 1;
         report.admitted += 1;
         if telemetry::metrics_enabled() {
@@ -1055,24 +1154,13 @@ impl Service {
         self.dirty = true;
     }
 
-    /// Drops dedup entries whose slot left the window.
-    fn prune_seen(&mut self) {
-        let tail = self.window.tail_slot();
-        let start = self.config.start_s;
-        let slot_len = self.config.slot_len_s;
-        self.seen.retain(|&(_, ts, _), _| match ts.checked_sub(start) {
-            Some(d) => (d / slot_len) as usize >= tail,
-            None => false,
-        });
-    }
-
     /// Per-solve success bookkeeping shared by all three solve paths:
     /// the solves counter, the sweep-cap clamp, and the wall-clock half
     /// of the watchdog. Returns whether the solve blew its budget.
     fn settle_solved(&mut self, wall: Duration) -> bool {
         self.dirty = false;
-        self.dirty_cells.clear();
-        self.evicted_cols.clear();
+        self.dirty_bits.clear();
+        self.evicted_bits.clear();
         self.stats.solves += 1;
         if telemetry::metrics_enabled() {
             telemetry::counter("serve.solves").incr();
@@ -1130,18 +1218,20 @@ impl Service {
         if shift >= m {
             return None;
         }
+        // Rows ascending from the tail, each read off its ring slot's
+        // bits; columns ascending from the union of those rows and the
+        // evicted columns.
         let tail = self.window.tail_slot();
-        let mut rows: Vec<usize> = self.dirty_cells.iter().map(|&(s, _)| s - tail).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        let mut cols: Vec<u32> = self
-            .dirty_cells
-            .iter()
-            .map(|&(_, j)| j)
-            .chain(self.evicted_cols.iter().copied())
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
+        let mut rows = Vec::new();
+        let mut col_bits = self.evicted_bits.row(0).to_vec();
+        for row in 0..m {
+            let bits = self.dirty_bits.row((tail + row) % m);
+            if bits.iter().any(|&w| w != 0) {
+                rows.push(row);
+                col_bits.iter_mut().zip(bits).for_each(|(acc, &w)| *acc |= w);
+            }
+        }
+        let cols: Vec<u32> = set_bits(&col_bits).map(|j| j as u32).collect();
         // Unit-solve cost model: a dirty row costs O(n) to gather and
         // propagate, a dirty column O(m), and each shifted-in row O(n);
         // a full sweep costs O(m·n) per sweep.
@@ -1433,6 +1523,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn small_cfg() -> ServeConfig {
         ServeConfig::builder()
@@ -1579,5 +1670,208 @@ mod tests {
         let report = s.refresh();
         assert!(report.solved && !report.degraded);
         assert!(!s.latest().unwrap().stale);
+    }
+
+    /// SplitMix64: a seeded stream for the audit, no dependencies.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The README recipe, recomputed from scratch: XOR-fold over every
+    /// observed cell of FNV-1a over the little-endian `(absolute slot,
+    /// segment, sum bits, count bits)`.
+    fn digest_from_scratch(s: &Service) -> u64 {
+        let tail = s.window.tail_slot();
+        let mut digest = 0;
+        for row in 0..s.config.window_slots {
+            let (sums, counts) = s.window.row_raw(row);
+            for (j, (&sum, &count)) in sums.iter().zip(counts).enumerate() {
+                if count > 0.0 {
+                    let mut h = telemetry::Fnv::new();
+                    for word in [(tail + row) as u64, j as u64, sum.to_bits(), count.to_bits()] {
+                        h.write_u64(word);
+                    }
+                    digest ^= h.finish();
+                }
+            }
+        }
+        digest
+    }
+
+    /// The dirty bits as `(absolute slot, segment)` cells.
+    fn dirty_set(s: &Service) -> BTreeSet<(usize, usize)> {
+        let (m, tail) = (s.config.window_slots, s.window.tail_slot());
+        (tail..tail + m)
+            .flat_map(|slot| set_bits(s.dirty_bits.row(slot % m)).map(move |j| (slot, j)))
+            .collect()
+    }
+
+    /// What the admission rules must have done, tracked by plain clock
+    /// arithmetic next to the service (grid start 0, 60 s slots).
+    struct Model {
+        m: usize,
+        n: usize,
+        head: usize,
+        admitted: u64,
+        /// Cells holding at least one observation (a duplicate retracts
+        /// and re-observes, so an admitted cell never empties).
+        occupied: BTreeSet<(usize, usize)>,
+        /// Cells admitted since the last successful solve.
+        dirty: BTreeSet<(usize, usize)>,
+        /// Columns that lost cells to eviction since that solve.
+        evicted_columns: BTreeSet<usize>,
+    }
+
+    impl Model {
+        fn slide(&mut self, slot: usize) {
+            if slot <= self.head {
+                return;
+            }
+            self.head = slot;
+            let tail = (slot + 1).saturating_sub(self.m);
+            let gone: Vec<_> = self.occupied.iter().copied().filter(|&(s, _)| s < tail).collect();
+            for cell in gone {
+                self.occupied.remove(&cell);
+                self.dirty.remove(&cell);
+                self.evicted_columns.insert(cell.1);
+            }
+        }
+
+        fn offer(&mut self, o: &Observation) {
+            if !o.speed_kmh.is_finite() || o.speed_kmh < 0.0 || o.segment >= self.n {
+                return;
+            }
+            let slot = (o.timestamp_s / 60) as usize;
+            if slot + self.m <= self.head {
+                return; // late
+            }
+            self.slide(slot);
+            self.occupied.insert((slot, o.segment));
+            self.dirty.insert((slot, o.segment));
+            self.admitted += 1;
+        }
+
+        fn solved(&mut self) {
+            self.dirty.clear();
+            self.evicted_columns.clear();
+        }
+    }
+
+    fn audit(s: &Service, model: &Model, at: &str) {
+        assert_eq!(s.digest, digest_from_scratch(s), "{at}: digest drifted from the recipe");
+        assert!(s.touched.is_empty(), "{at}: touched cells left unfolded");
+        assert!(s.touched_bits.bits.iter().all(|&w| w == 0), "{at}: stale touched bits");
+        assert_eq!(s.window.head_slot(), model.head, "{at}: head slot");
+        assert_eq!(s.stats.admitted, model.admitted, "{at}: admitted");
+        assert_eq!(dirty_set(s), model.dirty, "{at}: dirty bits");
+        let evicted: BTreeSet<usize> = set_bits(s.evicted_bits.row(0)).collect();
+        assert_eq!(evicted, model.evicted_columns, "{at}: evicted columns");
+    }
+
+    /// One offered report: mostly in-window traffic on a few vehicles
+    /// and timestamps (so exact re-deliveries recur), plus reports that
+    /// slide the head by one or more slots mid-drain, jumps past the
+    /// whole window, late and malformed ones.
+    fn offered(rng: &mut SplitMix, head: usize, m: usize, n: usize) -> Observation {
+        let slot = match rng.below(100) {
+            0..=69 => head - rng.below(m as u64) as usize,
+            70..=81 => head + 1 + rng.below(2) as usize,
+            82..=84 => head + 2 + rng.below(2 * m as u64) as usize,
+            85..=92 => head.saturating_sub(m + rng.below(3) as usize),
+            _ => head,
+        };
+        let malformed = rng.below(100) < 4;
+        Observation {
+            vehicle: rng.below(5),
+            timestamp_s: slot as u64 * 60 + rng.below(2),
+            segment: if malformed { n + 1 } else { rng.below(n as u64) as usize },
+            speed_kmh: 20.0 + rng.below(40) as f64 * 0.25,
+        }
+    }
+
+    #[test]
+    fn digest_and_dirty_bits_match_a_from_scratch_audit() {
+        // 70 segments span two bitset words. Rank 2 solves (incremental
+        // and full paths alternate); rank 5 > window_slots fails every
+        // solve, so the dirty set accumulates across ticks and only
+        // eviction trims it.
+        for (rank, seed) in [(2, 1u64), (2, 2), (5, 3)] {
+            let cfg = ServeConfig {
+                window_slots: 4,
+                num_segments: 70,
+                incremental_threshold: 0.9,
+                cs: CsConfig { rank, lambda: 0.1, num_threads: 1, ..CsConfig::default() },
+                ..small_cfg()
+            };
+            let (m, n) = (cfg.window_slots, cfg.num_segments);
+            let mut s = Service::new(cfg).unwrap();
+            let mut model = Model {
+                m,
+                n,
+                head: m - 1,
+                admitted: 0,
+                occupied: BTreeSet::new(),
+                dirty: BTreeSet::new(),
+                evicted_columns: BTreeSet::new(),
+            };
+            let mut rng = SplitMix(seed);
+            for tick in 0..300 {
+                let at = format!("rank {rank} seed {seed} tick {tick}");
+                for _ in 0..rng.below(40) {
+                    let o = offered(&mut rng, model.head, m, n);
+                    s.push(o);
+                    model.offer(&o);
+                }
+                // Drain and audit before the solve, while the dirty set
+                // is live, then let the tick solve it.
+                let mut drained = TickReport::default();
+                s.drain(&mut drained);
+                audit(&s, &model, &format!("{at} drained"));
+                if let Some((rows, cols)) = s.incremental_plan() {
+                    let tail = s.window.tail_slot();
+                    let want_rows: BTreeSet<usize> =
+                        model.dirty.iter().map(|&(slot, _)| slot - tail).collect();
+                    let want_cols: BTreeSet<u32> = model
+                        .dirty
+                        .iter()
+                        .map(|&(_, j)| j)
+                        .chain(model.evicted_columns.iter().copied())
+                        .map(|j| j as u32)
+                        .collect();
+                    assert_eq!(rows, want_rows.into_iter().collect::<Vec<_>>(), "{at}: plan rows");
+                    assert_eq!(cols, want_cols.into_iter().collect::<Vec<_>>(), "{at}: plan cols");
+                }
+                let report = if rng.below(10) == 0 { s.refresh() } else { s.tick() };
+                if report.solved {
+                    model.solved();
+                }
+                audit(&s, &model, &format!("{at} ticked"));
+                if rng.below(8) == 0 {
+                    let slot = model.head + 1 + rng.below(m as u64 + 2) as usize;
+                    s.advance_clock(slot as u64 * 60);
+                    model.slide(slot);
+                    audit(&s, &model, &format!("{at} clock advanced"));
+                }
+            }
+            let st = s.stats();
+            assert!(st.duplicates > 0 && st.dropped_late > 0 && st.rejected > 0, "{st:?}");
+            if rank == 2 {
+                assert!(s.solve_stats().incremental_solves > 0, "{:?}", s.solve_stats());
+            } else {
+                assert_eq!(st.solves, 0, "rank {rank} must fail every solve");
+            }
+        }
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! The same allocator also proves the streaming service's tick hot
 //! path is free when observability is off: steady-state empty ticks
-//! allocate nothing, and configuring `trace_sample` costs nothing while
-//! the telemetry level keeps tracing disabled.
+//! allocate nothing, configuring `trace_sample` costs nothing while
+//! the telemetry level keeps tracing disabled, and sliding the window
+//! into the next slot allocates nothing.
 //!
 //! The allocator is process-global, so this file holds exactly one test.
 
@@ -261,4 +262,19 @@ fn service_tick_is_allocation_free_when_observability_is_off() {
         s.solve_stats()
     );
     assert_eq!(cache_ticks, 0, "cache-hit ticks allocated {cache_ticks} times");
+
+    // --- A slot slide is free -----------------------------------------
+    // Advancing the clock into the next slot evicts the oldest one: its
+    // cells fold out of the digest, its dedup map and dirty row clear in
+    // place, and the window zeroes and rotates its rows instead of
+    // allocating fresh ones. Six slides also wrap the 4-slot ring.
+    let mut s = warm_service(0);
+    let head = s.head_slot();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for k in 1..=6 {
+        s.advance_clock((head + k) as u64 * 60);
+    }
+    let slides = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(s.head_slot(), head + 6);
+    assert_eq!(slides, 0, "slot slides allocated {slides} times");
 }

@@ -7,6 +7,9 @@ use traffic_cs::cs::{complete_matrix_detailed, CsConfig};
 use traffic_cs::service::{Backpressure, Observation, ServeConfig, Service};
 use traffic_cs::Error;
 
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::Duration;
+
 const SLOT_LEN: u64 = 60;
 const SEGMENTS: usize = 8;
 
@@ -443,7 +446,8 @@ struct AdmissionCase {
 fn admission_rules_table() {
     // The classification rules in `admit` (and the queue bound in
     // `push`) pinned as a table: (malformed, late, duplicate, full
-    // queue) × both backpressure policies, with exact counter deltas.
+    // queue) × both backpressure policies, plus the dedup ring's slot
+    // reuse, with exact counter deltas.
     // `duplicates` is a sub-count of `admitted` (a duplicate retracts
     // the old value and is then admitted), so conservation is
     //   pushed == queue_dropped + rejected + dropped_late + admitted.
@@ -462,6 +466,16 @@ fn admission_rules_table() {
         Observation { vehicle: 3, timestamp_s: 0, segment: 1, speed_kmh: 40.0 };
     const DUP: Observation =
         Observation { vehicle: 1, timestamp_s: 10, segment: 0, speed_kmh: 30.0 };
+    // The dedup maps form a ring indexed by `slot % window_slots`: slot 5
+    // shares ring index 1 with slot 9. A report at slot 8 slides the tail
+    // to 5, so slot 5's map survives; one at slot 9 evicts slot 5 and
+    // clears that ring index for slot 9.
+    const RING_KEY: Observation =
+        Observation { vehicle: 4, timestamp_s: 5 * SLOT_LEN + 1, segment: 2, speed_kmh: 45.0 };
+    const RING_KEEP: Observation =
+        Observation { vehicle: 5, timestamp_s: 8 * SLOT_LEN, segment: 3, speed_kmh: 35.0 };
+    const RING_REUSE: Observation =
+        Observation { vehicle: 5, timestamp_s: 9 * SLOT_LEN, segment: 3, speed_kmh: 35.0 };
 
     let cases = [
         AdmissionCase {
@@ -529,6 +543,28 @@ fn admission_rules_table() {
             dropped_late: 0,
             admitted: 2,
             duplicates: 1,
+        },
+        AdmissionCase {
+            name: "ring-slot-survives/duplicate",
+            backpressure: Backpressure::DropNewest,
+            queue_capacity: 8,
+            input: &[RING_KEY, RING_KEEP, RING_KEY],
+            queue_dropped: 0,
+            rejected: 0,
+            dropped_late: 0,
+            admitted: 3,
+            duplicates: 1,
+        },
+        AdmissionCase {
+            name: "ring-slot-reused/late",
+            backpressure: Backpressure::DropNewest,
+            queue_capacity: 8,
+            input: &[RING_KEY, RING_REUSE, RING_KEY],
+            queue_dropped: 0,
+            rejected: 0,
+            dropped_late: 1,
+            admitted: 2,
+            duplicates: 0,
         },
         // Capacity 1 with [valid, malformed]: the policies disagree on
         // *which* report dies at the queue, and the survivor is counted
@@ -777,4 +813,67 @@ fn incremental_config_is_validated() {
     assert!(ServeConfig::builder().incremental_threshold(-0.1).build().is_err());
     assert!(ServeConfig::builder().incremental_threshold(f64::NAN).build().is_err());
     assert!(ServeConfig::builder().full_sweep_every(1).incremental_threshold(0.0).build().is_ok());
+}
+
+/// Runs `f` on its own thread and fails if it has not returned within
+/// `limit`, so a stalled engine fails the test instead of hanging it.
+/// A panic inside `f` is re-raised here.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => {
+            worker.join().expect("the worker sent its value, so it did not panic");
+            value
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("did not return within {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("no value means a panic"))
+        }
+    }
+}
+
+// 60 s slots keep the head slot near u64::MAX / 60, so `head_slot + 1`
+// cannot overflow even in a debug build.
+
+#[test]
+fn far_future_report_ticks_promptly_and_is_admitted() {
+    // One report at the end of the timestamp range evicts every slot at
+    // once; it must not slide one slot at a time across ~3·10¹⁷ slots.
+    let far = Observation { vehicle: 7, timestamp_s: u64::MAX - 1, segment: 2, speed_kmh: 33.0 };
+    let (report, warm_key, head, fresh_key) = within(Duration::from_secs(20), move || {
+        let mut warm = Service::new(serve_cfg(4, 1)).unwrap();
+        for &o in &synth_observations(6) {
+            warm.push(o);
+        }
+        warm.tick();
+        warm.push(far);
+        let report = warm.tick();
+        let mut fresh = Service::new(serve_cfg(4, 1)).unwrap();
+        fresh.push(far);
+        fresh.tick();
+        (report, warm.window_key(), warm.head_slot(), fresh.window_key())
+    });
+    assert_eq!(report.admitted, 1);
+    assert_eq!(head, ((u64::MAX - 1) / SLOT_LEN) as usize);
+    assert_eq!(warm_key, fresh_key, "every earlier cell must have left the digest");
+}
+
+#[test]
+fn checkpoint_with_far_future_clock_restores_promptly() {
+    // A corrupted `clock` line must not hang the restore either.
+    const CLOCK: u64 = 18_446_744_073_709_551_000;
+    let text = format!("cs-serve-checkpoint v1\nclock {CLOCK}\nhead_slot 3\nfactors none\n");
+    let restored = within(Duration::from_secs(20), move || {
+        let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+        for &o in &synth_observations(6) {
+            service.push(o);
+        }
+        service.tick();
+        service.restore(&text).map_err(|e| e.to_string())?;
+        Ok::<_, String>((service.clock_s(), service.head_slot()))
+    });
+    assert_eq!(restored, Ok((CLOCK, (CLOCK / SLOT_LEN) as usize)));
 }

@@ -123,14 +123,21 @@ impl StreamingTcm {
 
     /// Slides the window forward so it covers `slot` (no-op when `slot`
     /// is already covered). Evicted slots are gone for good.
+    ///
+    /// Costs at most one pass over the window however far the head
+    /// jumps: evicted rows are rotated to the back and zeroed in place,
+    /// so a slide allocates nothing.
     pub fn advance_to_slot(&mut self, slot: usize) {
-        while self.head_slot < slot {
-            self.sums.pop_front();
-            self.counts.pop_front();
-            self.sums.push_back(vec![0.0; self.num_segments]);
-            self.counts.push_back(vec![0.0; self.num_segments]);
-            self.head_slot += 1;
+        if slot <= self.head_slot {
+            return;
         }
+        let evicted = (slot - self.head_slot).min(self.window_slots);
+        let fresh = self.window_slots - evicted;
+        for rows in [&mut self.sums, &mut self.counts] {
+            rows.rotate_left(evicted);
+            rows.range_mut(fresh..).for_each(|row| row.fill(0.0));
+        }
+        self.head_slot = slot;
     }
 
     /// Ingests one probe observation. Advances the window if the
@@ -316,6 +323,26 @@ mod tests {
         let tcm = s.snapshot();
         assert_eq!(tcm.observed_count(), 1);
         assert_eq!(tcm.get(2, 0), Some(30.0));
+    }
+
+    #[test]
+    fn partial_slides_keep_survivors_and_far_jumps_return() {
+        let mut s = StreamingTcm::new(0, 60, 3, 2).unwrap();
+        s.observe(0, 0, 10.0).unwrap(); // slot 0
+        s.observe(60, 1, 20.0).unwrap(); // slot 1
+        s.observe(120, 0, 30.0).unwrap(); // slot 2
+        s.advance_to_slot(4); // evicts slots 0 and 1
+        assert_eq!(s.tail_slot(), 2);
+        assert_eq!(s.cell_raw(0, 0), (30.0, 1.0));
+        assert_eq!(s.observed_cells(), 1);
+        // A jump to the end of the slot grid is one pass over the window,
+        // not one slide per skipped slot.
+        let far = s.slot_of(u64::MAX).unwrap();
+        s.advance_to_slot(far);
+        assert_eq!(s.head_slot(), far);
+        assert_eq!(s.observed_cells(), 0);
+        s.observe(u64::MAX, 1, 40.0).unwrap();
+        assert_eq!(s.cell_raw(2, 1), (40.0, 1.0));
     }
 
     #[test]
