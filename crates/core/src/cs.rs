@@ -482,11 +482,30 @@ fn run_als(
     Ok(CompletionResult { estimate, objective, objective_trace: trace, sweeps, factors: (bl, br) })
 }
 
-/// Minimum solve-work estimate (see [`solve_work`]) below which a factor
-/// solve stays sequential: fan-out over threads costs two thread spawns
-/// plus a join per sweep, which only pays for itself once the per-sweep
-/// arithmetic dwarfs it.
+/// Minimum work estimate (see [`solve_work`]) below which a fan-out
+/// stays sequential: fan-out over threads costs two thread spawns plus
+/// a join, which only pays for itself once the arithmetic dwarfs it.
 const PARALLEL_WORK_THRESHOLD: usize = 32_768;
+
+/// Work estimate of `units` rank-`r` ridge solves over `entries`
+/// observed entries: ≈ `r²` per entry (normal-equation build) plus `r³`
+/// per unit (dense solve).
+pub(crate) fn solve_work(entries: usize, units: usize, r: usize) -> usize {
+    entries * r * r + units * r * r * r
+}
+
+/// Worker count for a fan-out of `work` (see [`solve_work`]; a pass of
+/// rank-`r` dot products costs `r` per cell): `1` below
+/// [`PARALLEL_WORK_THRESHOLD`], where spawn overhead dominates, else
+/// `num_threads`. The full sweep and the incremental delta pass share
+/// this gate.
+pub(crate) fn gate_threads(work: usize, num_threads: usize) -> usize {
+    if work < PARALLEL_WORK_THRESHOLD {
+        1
+    } else {
+        num_threads
+    }
+}
 
 /// Worker counts for every fan-out of one completion, decided once at
 /// observation-index build time instead of re-derived (by re-summing all
@@ -503,22 +522,16 @@ struct ThreadPlan {
 
 impl ThreadPlan {
     /// Gates each fan-out so tiny problems (where spawn overhead
-    /// dominates) stay sequential. A factor solve costs ≈ `r²` per
-    /// observed entry (normal-equation build) plus `r³` per unit (dense
-    /// solve); the objective costs only `r` per observed entry.
+    /// dominates) stay sequential; the objective costs only `r` per
+    /// observed entry.
     fn new(obs: &ObsIndex, r: usize, config: &CsConfig) -> Self {
         let total = obs.total_observed();
-        let solve_threads = |units: usize| {
-            if total * r * r + units * r * r * r < PARALLEL_WORK_THRESHOLD {
-                1
-            } else {
-                config.num_threads
-            }
-        };
+        let solve_threads =
+            |units: usize| gate_threads(solve_work(total, units, r), config.num_threads);
         Self {
             col_solve: solve_threads(obs.num_cols()),
             row_solve: solve_threads(obs.num_rows()),
-            objective: if total * r < PARALLEL_WORK_THRESHOLD { 1 } else { config.num_threads },
+            objective: gate_threads(total * r, config.num_threads),
         }
     }
 }

@@ -153,8 +153,9 @@ impl ObsIndex {
 /// Implementations must produce exactly the entries (same ids, same
 /// order, same value bits) that [`ObsIndex::from_tcm`] would index for
 /// the equivalent snapshot — that equivalence is what lets the
-/// incremental path share the full sweep's bit-for-bit guarantee.
-pub trait ObsSource {
+/// incremental path share the full sweep's bit-for-bit guarantee. The
+/// incremental path gathers from several workers at once, hence `Sync`.
+pub trait ObsSource: Sync {
     /// Matrix shape as `(rows, cols)`.
     fn shape(&self) -> (usize, usize);
 

@@ -16,9 +16,15 @@
 //! The data-plane companion (ingesting raw probe observations into the
 //! sliding window) is `probes::stream::StreamingTcm`.
 
-use crate::cs::{complete_matrix_warm, CompletionResult, CsConfig, CsError, SolveAxis};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::cs::{
+    complete_matrix_warm, gate_threads, solve_work, CompletionResult, CsConfig, CsError, SolveAxis,
+};
 use crate::error::{ConfigError, Error};
 use crate::obs::ObsSource;
+use crate::service::set_bits;
 use linalg::lstsq::GramScratch;
 use linalg::Matrix;
 use probes::Tcm;
@@ -99,18 +105,147 @@ struct DeltaState {
     /// `R` column they observe; re-solved by the next pass regardless of
     /// data dirt. Sorted ascending.
     pending_rows: Vec<usize>,
-    /// Reused gather buffers (indices / values of one unit).
-    idx_buf: Vec<u32>,
-    val_buf: Vec<f64>,
-    /// Candidate solution buffer, compared bitwise against the cached
-    /// factor row to prune propagation.
-    row_buf: Vec<f64>,
-    scratch: GramScratch,
 }
 
 /// `Σ v²` of one factor row, the per-row regularizer partial.
 fn row_norm_sq(row: &[f64]) -> f64 {
     row.iter().map(|v| v * v).sum()
+}
+
+/// `Σ (pred − v)²` over one column's observed entries (`rows`
+/// ascending) under `l` and the column's factor row `r_row` — the
+/// per-column partial the full sweep's fused objective reduces in
+/// column order.
+fn column_fit(l: &Matrix, r_row: &[f64], rows: &[u32], vals: &[f64]) -> f64 {
+    let mut partial = 0.0;
+    for (&i, &v) in rows.iter().zip(vals) {
+        let pred = dot_lr(l.row(i as usize), r_row);
+        partial += (pred - v) * (pred - v);
+    }
+    partial
+}
+
+/// A zeroed `len`-bit set that workers mark concurrently.
+fn atomic_bits(len: usize) -> Vec<AtomicU64> {
+    (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// Sets the bits named by `ids` (ascending), one `fetch_or` per touched
+/// word. OR commutes, so the final set is the same at any thread count
+/// and schedule. `Relaxed` suffices: the bits publish no other data,
+/// and the fan-out's join orders every mark before the fold reads them.
+fn mark_bits(bits: &[AtomicU64], ids: &[u32]) {
+    let flush = |word: usize, mask: u64| {
+        if mask != 0 {
+            bits[word].fetch_or(mask, Ordering::Relaxed);
+        }
+    };
+    let (mut word, mut mask) = (0, 0u64);
+    for &k in ids {
+        if k as usize / 64 != word {
+            flush(word, mask);
+            (word, mask) = (k as usize / 64, 0);
+        }
+        mask |= 1 << (k % 64);
+    }
+    flush(word, mask);
+}
+
+/// One factor unit a delta pass re-solves. The worker that claims it
+/// overwrites `row` — the unit's row of the cached factor matrix — only
+/// when the new solution differs in some bit, and leaves the rest for
+/// the ascending fold.
+struct UnitSlot<'a> {
+    index: usize,
+    row: &'a mut [f64],
+    changed: bool,
+    /// The column's fit partial under the final factors (`R` step only).
+    fit: f64,
+}
+
+/// Slots for `units` (ascending, in range) over the rows of `factors`.
+fn unit_slots<'a>(factors: &'a mut Matrix, units: &[usize]) -> Vec<UnitSlot<'a>> {
+    let rank = factors.cols();
+    let mut rows = factors.as_mut_slice().chunks_mut(rank).enumerate();
+    units
+        .iter()
+        .map(|&u| {
+            let (_, row) = rows.find(|&(k, _)| k == u).expect("units ascending and in range");
+            UnitSlot { index: u, row, changed: false, fit: 0.0 }
+        })
+        .collect()
+}
+
+/// Per-worker buffers of a delta-pass fan-out: one unit's gathered
+/// observations, its candidate solution and the Gram kernel scratch.
+struct UnitScratch {
+    idx: Vec<u32>,
+    val: Vec<f64>,
+    cand: Vec<f64>,
+    gram: GramScratch,
+}
+
+/// Re-solves every unit of `slots` on `axis` against `design` (the
+/// other axis' factors) across up to `num_threads` workers. A worker
+/// whose solution changes a unit's bits writes it and marks the unit's
+/// observed indices in `marks` — the units on the other axis the change
+/// propagates to. Column units are also re-scored under their final row
+/// and `design` (`L`). A failure reports the smallest failing unit, as
+/// the sequential loop would: blocks run their units in ascending order
+/// and stop at the first failure, and the pool reports the smallest
+/// failing block.
+fn resolve_units(
+    source: &dyn ObsSource,
+    axis: SolveAxis,
+    design: &Matrix,
+    lambda: f64,
+    num_threads: usize,
+    slots: &mut [UnitSlot<'_>],
+    marks: &[AtomicU64],
+) -> Result<(), CsError> {
+    let rank = design.cols();
+    // Gated like the full sweep's solves. Gathering a unit walks its
+    // whole axis, which stands in for the observed entries the gate
+    // prices.
+    let (m, n) = source.shape();
+    let walk = if axis == SolveAxis::Row { n } else { m };
+    let work = solve_work(slots.len() * walk, slots.len(), rank);
+    // Workers claim blocks of ⌊√units⌋ units, not single units: a claim
+    // per unit made the shared claim cursor and neighbouring slots'
+    // cache lines bounce between workers, while ~√units blocks still
+    // leave enough claims to balance the load.
+    let mut blocks: Vec<&mut [UnitSlot<'_>]> =
+        slots.chunks_mut(slots.len().isqrt().max(1)).collect();
+    workpool::try_parallel_for_each_mut_with(
+        &mut blocks,
+        gate_threads(work, num_threads),
+        || UnitScratch {
+            idx: Vec::new(),
+            val: Vec::new(),
+            cand: vec![0.0; rank],
+            gram: GramScratch::new(rank),
+        },
+        |_, block, w| {
+            for slot in block.iter_mut() {
+                match axis {
+                    SolveAxis::Row => source.gather_row(slot.index, &mut w.idx, &mut w.val),
+                    SolveAxis::Column => source.gather_col(slot.index, &mut w.idx, &mut w.val),
+                }
+                w.gram.solve_ridge_rows(design, &w.idx, &w.val, lambda, &mut w.cand).map_err(
+                    |e| CsError::Solve { axis, index: slot.index, detail: e.to_string() },
+                )?;
+                if slot.row.iter().zip(&w.cand).any(|(a, b)| a.to_bits() != b.to_bits()) {
+                    slot.row.copy_from_slice(&w.cand);
+                    slot.changed = true;
+                    mark_bits(marks, &w.idx);
+                }
+                if axis == SolveAxis::Column {
+                    slot.fit = column_fit(design, slot.row, &w.idx, &w.val);
+                }
+            }
+            Ok(())
+        },
+    )
 }
 
 /// `l_row · r_row` with ascending-`k` accumulation — the exact inner
@@ -316,19 +451,13 @@ impl OnlineEstimator {
             )
             .into());
         }
-        let mut idx_buf = Vec::new();
-        let mut val_buf = Vec::new();
-        let mut fit_cols = vec![0.0; n];
-        for (j, fit) in fit_cols.iter_mut().enumerate() {
-            source.gather_col(j, &mut idx_buf, &mut val_buf);
-            let r_row = r.row(j);
-            let mut partial = 0.0;
-            for (&i, &v) in idx_buf.iter().zip(&val_buf) {
-                let pred = dot_lr(l.row(i as usize), r_row);
-                partial += (pred - v) * (pred - v);
-            }
-            *fit = partial;
-        }
+        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        let fit_cols = (0..n)
+            .map(|j| {
+                source.gather_col(j, &mut idx, &mut val);
+                column_fit(l, r.row(j), &idx, &val)
+            })
+            .collect();
         let l_row_norms = (0..m).map(|i| row_norm_sq(l.row(i))).collect();
         let r_row_norms = (0..n).map(|j| row_norm_sq(r.row(j))).collect();
         self.delta = Some(DeltaState {
@@ -339,10 +468,6 @@ impl OnlineEstimator {
             l_row_norms,
             r_row_norms,
             pending_rows: Vec::new(),
-            idx_buf,
-            val_buf,
-            row_buf: vec![0.0; rank],
-            scratch: GramScratch::new(rank),
         });
         Ok(())
     }
@@ -362,10 +487,20 @@ impl OnlineEstimator {
     ///
     /// Each unit solve runs the same [`GramScratch::solve_ridge_rows`]
     /// entry point as the full sweep, so a re-solved unit's bits equal
-    /// what a full sweep in the same position would produce. The pass is
-    /// sequential — dirty sets are small by contract (the service falls
-    /// back to a full sweep past a dirty-fraction threshold), and a
-    /// sequential pass is trivially identical at any thread count.
+    /// what a full sweep in the same position would produce.
+    ///
+    /// The dirty set is small, but propagation is not: every `L` row
+    /// whose bits change drags in every column it observes. On a sparse
+    /// wide window (8,192 segments × 16 slots at ~25% integrity) a tick
+    /// of 400 reports re-solves ~7,667 of the 8,208 units. So the `L`
+    /// step, the `R` step and the estimate update each fan out over
+    /// [`CsConfig::num_threads`] workers, gated like the full sweep's
+    /// solves. Each worker writes only the rows of the units it claims
+    /// and ORs the units they propagate to into a shared bitset; norms,
+    /// fit partials and the changed-unit lists are then folded in
+    /// ascending unit order. The result is bit-identical at any thread
+    /// count, and a failing solve reports the smallest failing row (`L`
+    /// step) or column (`R` step).
     ///
     /// # Errors
     ///
@@ -436,10 +571,6 @@ impl OnlineEstimator {
             l_row_norms,
             r_row_norms,
             pending_rows,
-            idx_buf,
-            val_buf,
-            row_buf,
-            scratch,
         } = state;
         if shift > 0 {
             // Slide the cached state with the window: surviving slots
@@ -460,8 +591,11 @@ impl OnlineEstimator {
             });
             *state_head = head_slot;
         }
+        let threads = self.config.num_threads;
         // L step: dirty rows, carried-over pending rows, and the rows
-        // that just entered the window.
+        // that just entered the window, against the cached R. Columns
+        // observing a changed row see a changed design matrix, so their
+        // ridge solutions must be refreshed: the workers mark them.
         let mut rows_to_solve: Vec<usize> =
             Vec::with_capacity(dirty_rows.len() + pending_rows.len() + shift);
         rows_to_solve.extend_from_slice(dirty_rows);
@@ -472,79 +606,69 @@ impl OnlineEstimator {
         if rows_to_solve.last().is_some_and(|&i| i >= m) {
             return Err(ConfigError::new("incremental", "dirty row out of range").into());
         }
-        let mut changed_rows: Vec<usize> = Vec::new();
-        let mut cols_to_solve: Vec<u32> = dirty_cols.to_vec();
-        for &i in &rows_to_solve {
-            source.gather_row(i, idx_buf, val_buf);
-            scratch.solve_ridge_rows(r, idx_buf, val_buf, lambda, row_buf).map_err(|e| {
-                CsError::Solve { axis: SolveAxis::Row, index: i, detail: e.to_string() }
-            })?;
-            let row = &mut l.as_mut_slice()[i * rank..(i + 1) * rank];
-            let changed = row.iter().zip(row_buf.iter()).any(|(a, b)| a.to_bits() != b.to_bits());
-            if changed {
-                row.copy_from_slice(row_buf);
-                l_row_norms[i] = row_norm_sq(row_buf);
-                changed_rows.push(i);
-                // Columns observing a changed row see a changed design
-                // matrix: their ridge solutions must be refreshed.
-                cols_to_solve.extend_from_slice(idx_buf);
-            }
+        let col_marks = atomic_bits(n);
+        let mut slots = unit_slots(l, &rows_to_solve);
+        resolve_units(source, SolveAxis::Row, r, lambda, threads, &mut slots, &col_marks)?;
+        // Estimate rows to recompute in full: rows whose L changed and
+        // the rows that just entered the window.
+        let mut full_rows = vec![false; m];
+        full_rows[m - shift..].fill(true);
+        for slot in slots.iter().filter(|s| s.changed) {
+            l_row_norms[slot.index] = row_norm_sq(slot.row);
+            full_rows[slot.index] = true;
         }
-        // R step against the updated L.
-        cols_to_solve.sort_unstable();
-        cols_to_solve.dedup();
-        if cols_to_solve.last().is_some_and(|&j| j as usize >= n) {
+        // R step against the updated L, over the marked columns plus
+        // the dirty ones, ascending. The L rows observed in a changed
+        // column are now stale relative to R; the workers mark them
+        // pending for the next pass.
+        if dirty_cols.iter().any(|&j| j as usize >= n) {
             return Err(ConfigError::new("incremental", "dirty column out of range").into());
         }
-        let mut changed_cols: Vec<u32> = Vec::new();
-        let mut next_pending: Vec<usize> = Vec::new();
-        for &j in &cols_to_solve {
-            let j = j as usize;
-            source.gather_col(j, idx_buf, val_buf);
-            scratch.solve_ridge_rows(l, idx_buf, val_buf, lambda, row_buf).map_err(|e| {
-                CsError::Solve { axis: SolveAxis::Column, index: j, detail: e.to_string() }
-            })?;
-            let row = &mut r.as_mut_slice()[j * rank..(j + 1) * rank];
-            let changed = row.iter().zip(row_buf.iter()).any(|(a, b)| a.to_bits() != b.to_bits());
-            if changed {
-                row.copy_from_slice(row_buf);
-                r_row_norms[j] = row_norm_sq(row_buf);
-                changed_cols.push(j as u32);
-                // The L rows observed in a changed column are now stale
-                // relative to R; the next pass re-solves them.
-                next_pending.extend(idx_buf.iter().map(|&i| i as usize));
-            }
-            // Re-score the column with the final factors (entries in
-            // ascending row order, like the fused objective's partials).
-            let r_row = &r.as_slice()[j * rank..(j + 1) * rank];
-            let mut partial = 0.0;
-            for (&i, &v) in idx_buf.iter().zip(val_buf.iter()) {
-                let pred = dot_lr(l.row(i as usize), r_row);
-                partial += (pred - v) * (pred - v);
-            }
-            fit_cols[j] = partial;
+        let mut col_words: Vec<u64> = col_marks.into_iter().map(AtomicU64::into_inner).collect();
+        for &j in dirty_cols {
+            col_words[j as usize / 64] |= 1 << (j % 64);
         }
-        next_pending.sort_unstable();
-        next_pending.dedup();
-        *pending_rows = next_pending;
-        // Estimate maintenance: rows with changed (or newly-entered) L
-        // and columns with changed R are recomputed as l_i · r_j —
-        // bit-identical to the full path's `matmul_transpose_b`.
-        // Untouched cells keep bits that already equal that product.
-        let est = estimate.as_mut_slice();
-        for &i in changed_rows.iter().chain((m - shift..m).collect::<Vec<_>>().iter()) {
-            let l_row = &l.as_slice()[i * rank..(i + 1) * rank];
-            for j in 0..n {
-                est[i * n + j] = dot_lr(l_row, &r.as_slice()[j * rank..(j + 1) * rank]);
+        let cols_to_solve: Vec<usize> = set_bits(&col_words).collect();
+        let row_marks = atomic_bits(m);
+        let mut slots = unit_slots(r, &cols_to_solve);
+        resolve_units(source, SolveAxis::Column, l, lambda, threads, &mut slots, &row_marks)?;
+        let mut changed_cols: Vec<usize> = Vec::new();
+        for slot in &slots {
+            fit_cols[slot.index] = slot.fit;
+            if slot.changed {
+                r_row_norms[slot.index] = row_norm_sq(slot.row);
+                changed_cols.push(slot.index);
             }
         }
-        for &j in &changed_cols {
-            let j = j as usize;
-            let r_row = &r.as_slice()[j * rank..(j + 1) * rank];
-            for i in 0..m {
-                est[i * n + j] = dot_lr(&l.as_slice()[i * rank..(i + 1) * rank], r_row);
-            }
-        }
+        let row_words: Vec<u64> = row_marks.into_iter().map(AtomicU64::into_inner).collect();
+        *pending_rows = set_bits(&row_words).collect();
+        // Estimate maintenance, each cell written once, row by row: a
+        // full row recomputes all n cells, any other row only its
+        // changed columns. Every cell is l_i · r_j — bit-identical to
+        // the full path's `matmul_transpose_b`; untouched cells keep
+        // bits that already equal that product.
+        let (l, r) = (&*l, &*r);
+        let full = full_rows.iter().filter(|&&f| f).count();
+        let cells = full * n + (m - full) * changed_cols.len();
+        // `max(1)`: a zero-width window has no cells to chunk.
+        let mut est_rows: Vec<&mut [f64]> = estimate.as_mut_slice().chunks_mut(n.max(1)).collect();
+        let Ok(()) = workpool::try_parallel_for_each_mut(
+            &mut est_rows,
+            gate_threads(cells * rank, threads),
+            |i, row| {
+                let l_row = l.row(i);
+                if full_rows[i] {
+                    for (j, cell) in row.iter_mut().enumerate() {
+                        *cell = dot_lr(l_row, r.row(j));
+                    }
+                } else {
+                    for &j in &changed_cols {
+                        row[j] = dot_lr(l_row, r.row(j));
+                    }
+                }
+                Ok::<(), Infallible>(())
+            },
+        );
         // Objective from the cached partials: per-column fit folded in
         // column order plus the regularizer folded per row.
         let fit: f64 = fit_cols.iter().sum();
@@ -907,5 +1031,131 @@ mod tests {
         assert!(online2.incremental_primed());
         online2.reset();
         assert!(!online2.incremental_primed());
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A 16 × 2,048 window with about one cell in four observed. At rank
+    /// 8 every fan-out of a delta pass over it clears the work gate, so
+    /// with `num_threads > 1` the workers really run.
+    fn wide_sparse_stream() -> probes::stream::StreamingTcm {
+        let (m, n) = (16usize, 2048usize);
+        let mut stream = probes::stream::StreamingTcm::new(0, 60, m, n).unwrap();
+        for slot in 0..m {
+            let f = (2.0 * std::f64::consts::PI * slot as f64 / 24.0).sin();
+            for seg in 0..n {
+                if ((slot * n + seg).wrapping_mul(2_654_435_761) >> 7) % 4 == 0 {
+                    let speed = 30.0 + (seg % 11) as f64 + 6.0 * f * (1.0 + (seg % 7) as f64 / 7.0);
+                    stream.observe((slot * 60 + seg % 60) as u64, seg, speed).unwrap();
+                }
+            }
+        }
+        stream
+    }
+
+    #[test]
+    fn delta_pass_is_thread_invariant_on_a_wide_sparse_window() {
+        // Primed from a full solve, then mutated for four rounds (two of
+        // them slide the window): L, R, the estimate, the objective and
+        // the re-solved unit count must agree bit for bit at 1, 2 and 8
+        // threads.
+        let mut runs = Vec::new();
+        for threads in [1usize, 2, 8] {
+            let cfg = CsConfig {
+                rank: 8,
+                lambda: 0.1,
+                tol: 1e-4,
+                iterations: 20,
+                num_threads: threads,
+                ..CsConfig::default()
+            };
+            let mut stream = wide_sparse_stream();
+            let mut online = OnlineEstimator::new(cfg, stream.window_slots()).unwrap();
+            let result = online.update_detailed(&stream.snapshot()).unwrap();
+            let (l, r) = &result.factors;
+            online.prime_incremental(&stream, stream.head_slot(), l, r).unwrap();
+            let mut estimate = result.estimate;
+            let mut rounds = Vec::new();
+            for round in 0..4 {
+                let (dirty_rows, dirty_cols) = mutate_round(&mut stream, round);
+                let head = stream.head_slot();
+                let outcome = online
+                    .update_incremental(&stream, head, &dirty_rows, &dirty_cols, &mut estimate)
+                    .unwrap();
+                // Propagation makes every fan-out big enough to engage.
+                assert!(outcome.rows_resolved > 100, "round {round}: {outcome:?}");
+                let delta = online.delta.as_ref().unwrap();
+                let product = delta.l.matmul_transpose_b(&delta.r).unwrap();
+                assert_eq!(bits(estimate.as_slice()), bits(product.as_slice()), "round {round}");
+                rounds.push((
+                    bits(delta.l.as_slice()),
+                    bits(delta.r.as_slice()),
+                    bits(estimate.as_slice()),
+                    outcome.objective.to_bits(),
+                    outcome.rows_resolved,
+                ));
+            }
+            runs.push((threads, rounds));
+        }
+        let (_, reference) = &runs[0];
+        for (threads, rounds) in &runs[1..] {
+            for (round, (a, b)) in reference.iter().zip(rounds).enumerate() {
+                assert!(a.0 == b.0, "threads={threads} round {round}: L diverged");
+                assert!(a.1 == b.1, "threads={threads} round {round}: R diverged");
+                assert!(a.2 == b.2, "threads={threads} round {round}: estimate diverged");
+                assert_eq!(a.3, b.3, "threads={threads} round {round}: objective diverged");
+                assert_eq!(a.4, b.4, "threads={threads} round {round}: rows_resolved diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn delta_pass_reports_the_smallest_failing_column_at_any_thread_count() {
+        // λ = 0 leaves a column with fewer observations than the rank a
+        // singular ridge system. Hand-built factors make the L step
+        // change every row, so every observed column is re-solved and
+        // several fail; the error must name the smallest of them.
+        let rank = 8;
+        let stream = wide_sparse_stream();
+        let (m, n) = (stream.window_slots(), stream.num_segments());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let l = Matrix::random_uniform(m, rank, &mut rng, 0.0, 1.0);
+        let r = Matrix::random_uniform(n, rank, &mut rng, 0.0, 1.0);
+        // Sequential reference: the pass's L step, then the first column
+        // whose solve against the new L fails.
+        let mut gram = GramScratch::new(rank);
+        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        let mut new_l = Matrix::zeros(m, rank);
+        for i in 0..m {
+            stream.gather_row(i, &mut idx, &mut val);
+            gram.solve_ridge_rows(&r, &idx, &val, 0.0, new_l.row_mut(i)).unwrap();
+        }
+        let mut out = vec![0.0; rank];
+        let failing: Vec<usize> = (0..n)
+            .filter(|&j| {
+                stream.gather_col(j, &mut idx, &mut val);
+                gram.solve_ridge_rows(&new_l, &idx, &val, 0.0, &mut out).is_err()
+            })
+            .collect();
+        assert!(failing.len() > 1, "{} columns fail at lambda 0", failing.len());
+        let all_rows: Vec<usize> = (0..m).collect();
+        for threads in [1usize, 2, 8] {
+            let cfg = CsConfig { rank, lambda: 0.0, num_threads: threads, ..CsConfig::default() };
+            let mut online = OnlineEstimator::new(cfg, m).unwrap();
+            online.prime_incremental(&stream, stream.head_slot(), &l, &r).unwrap();
+            let mut estimate = l.matmul_transpose_b(&r).unwrap();
+            let err = online
+                .update_incremental(&stream, stream.head_slot(), &all_rows, &[], &mut estimate)
+                .unwrap_err();
+            match err {
+                Error::Cs(CsError::Solve { axis: SolveAxis::Column, index, .. }) => {
+                    assert_eq!(index, failing[0], "threads={threads}");
+                }
+                other => panic!("threads={threads}: expected a column solve error, got {other}"),
+            }
+            assert!(!online.incremental_primed(), "threads={threads}: state must be dropped");
+        }
     }
 }

@@ -635,7 +635,7 @@ impl SlotBits {
 }
 
 /// Indices of the set bits of `words`, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(w, &word)| {
         let mut rest = word;
         std::iter::from_fn(move || {
@@ -1234,7 +1234,11 @@ impl Service {
         let cols: Vec<u32> = set_bits(&col_bits).map(|j| j as u32).collect();
         // Unit-solve cost model: a dirty row costs O(n) to gather and
         // propagate, a dirty column O(m), and each shifted-in row O(n);
-        // a full sweep costs O(m·n) per sweep.
+        // a full sweep costs O(m·n) per sweep. It prices only this input
+        // dirty set, not the propagation the pass adds: every L row that
+        // changes re-solves every column it observes, which on a sparse
+        // wide window comes to most of the units (see
+        // `OnlineEstimator::update_incremental`).
         let cost = rows.len() * n + cols.len() * m + shift * n;
         if cost as f64 > self.config.incremental_threshold * (m * n) as f64 {
             return None;
@@ -1424,8 +1428,8 @@ impl Service {
     ///
     /// [`ServeError::Checkpoint`] (wrapped in the unified
     /// [`enum@Error`]) on version mismatch or malformed content;
-    /// [`Error::Config`] when the factors do not fit this service's
-    /// configured rank.
+    /// [`Error::Config`] when well-formed factors do not fit this
+    /// service's segment count and configured rank.
     pub fn restore(&mut self, text: &str) -> Result<(), Error> {
         let bad = |line: usize, msg: &str| -> Error {
             ServeError::Checkpoint { line, msg: msg.to_string() }.into()
@@ -1487,6 +1491,18 @@ impl Service {
                 if words.next().is_some() {
                     return Err(bad(line_no + 1, "trailing values in factor row"));
                 }
+            }
+            // Well-formed factors of another network would pass the
+            // estimator's rank check and then fail every solve.
+            let (segments, rank) = (self.config.num_segments, self.config.cs.rank);
+            if (rows, cols) != (segments, rank) {
+                return Err(ConfigError::new(
+                    "warm_factors",
+                    format!(
+                        "shape {rows}x{cols} incompatible with {segments} segments at rank {rank}"
+                    ),
+                )
+                .into());
             }
             self.estimator.set_warm_factors(r)?;
         }
@@ -1624,6 +1640,29 @@ mod tests {
             let err = s.restore(&text).unwrap_err();
             assert!(matches!(err, Error::Serve(ServeError::Checkpoint { .. })), "{dims}: {err}");
         }
+    }
+
+    #[test]
+    fn checkpoint_rejects_factors_of_another_network() {
+        // Well-formed rank-2 factors of a 7-segment network must not
+        // seed this 3-segment service: every later solve would fail.
+        let mut s = Service::new(small_cfg()).unwrap();
+        let row = format!("{:016x} {:016x}\n", 1.0f64.to_bits(), 0.5f64.to_bits());
+        let text =
+            format!("cs-serve-checkpoint v1\nclock 0\nhead_slot 3\nfactors 7 2\n{}", row.repeat(7));
+        let err = s.restore(&text).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        assert!(err.to_string().contains("3 segments"), "{err}");
+        // The rejected checkpoint left the solver untouched.
+        for t in 0..6u64 {
+            for seg in 0..3usize {
+                s.push(obs(10 + t, t * 60 + 5, seg, 30.0 + (t + seg as u64) as f64));
+            }
+            let report = s.tick();
+            assert!(report.solved && !report.degraded, "tick {t}: {report:?}");
+        }
+        assert!(s.latest().is_some());
+        assert_eq!(s.stats().degraded, 0);
     }
 
     #[test]

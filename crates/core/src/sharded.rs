@@ -544,11 +544,13 @@ impl ShardedService {
                 }
                 _ => return Err(bad(line, format!("malformed shard header '{hdr}'"))),
             };
+            // A corrupt length may overflow, overrun the container or
+            // end inside a multi-byte character: all three are refused.
             let body_start = hdr_end + 1;
-            if cursor.len() < body_start + len {
-                return Err(bad(line, format!("shard {i} body truncated")));
-            }
-            let body = &cursor[body_start..body_start + len];
+            let body = body_start
+                .checked_add(len)
+                .and_then(|end| cursor.get(body_start..end))
+                .ok_or_else(|| bad(line, format!("shard {i} body truncated")))?;
             self.shards[i].service.restore(body)?;
             line += 1 + body.matches('\n').count();
             cursor = &cursor[body_start + len..];

@@ -16,11 +16,13 @@ const SLOT_LEN: u64 = 60;
 const WINDOW: usize = 4;
 const RANK: usize = 2;
 
-fn service() -> Service {
+/// A service over `segments` segments. A checkpoint restores only into
+/// a service with as many segments as its factor matrix has rows.
+fn service(segments: usize) -> Service {
     let cfg = ServeConfig::builder()
         .slot_len_s(SLOT_LEN)
         .window_slots(WINDOW)
-        .num_segments(3)
+        .num_segments(segments)
         .cs(CsConfig { rank: RANK, lambda: 0.1, ..CsConfig::default() })
         .build()
         .unwrap();
@@ -71,7 +73,7 @@ proptest! {
     #[test]
     fn round_trip_is_byte_identical(clock in 0u64..100_000, rows in factor_rows()) {
         let text = checkpoint_text(clock, &rows);
-        let mut svc = service();
+        let mut svc = service(rows.len());
         svc.restore(&text).unwrap();
         prop_assert_eq!(svc.checkpoint(), text);
         prop_assert_eq!(svc.clock_s(), clock);
@@ -89,7 +91,7 @@ proptest! {
         // Map the fraction onto a byte offset; the text is pure ASCII so
         // every offset is a char boundary.
         let cut = ((text.len() as f64) * cut_frac) as usize;
-        let mut svc = service();
+        let mut svc = service(rows.len());
         match svc.restore(&text[..cut.min(text.len())]) {
             // The only prefixes allowed to restore are ones encoding the
             // complete state — re-checkpointing must reproduce the whole
@@ -115,12 +117,13 @@ fn every_special_value_round_trips_and_the_service_stays_alive() {
         [(-0.0f64).to_bits(), f64::MAX.to_bits()],
     ];
     let text = checkpoint_text(120, &specials);
-    let mut svc = service();
+    let mut svc = service(specials.len());
     svc.restore(&text).unwrap();
     assert_eq!(svc.checkpoint(), text);
 
-    // Poisoned warm factors must degrade, never panic: the next tick
-    // re-solves from them and the service keeps answering the API.
+    // Poisoned warm factors must never panic: the service has as many
+    // segments as the matrix has rows, so the next tick re-solves from
+    // them, and the service keeps answering the API.
     use traffic_cs::service::Observation;
     for seg in 0..3 {
         svc.push(Observation {
@@ -142,7 +145,7 @@ fn head_slot_is_derived_from_clock_not_trusted() {
     // to round-trip byte-identically.
     let mut text = checkpoint_text(600, &[[1.0f64.to_bits(), 2.0f64.to_bits()]]);
     text = text.replace("head_slot 10", "head_slot 999");
-    let mut svc = service();
+    let mut svc = service(1);
     svc.restore(&text).unwrap();
     assert!(svc.checkpoint().contains("head_slot 10\n"));
 }
@@ -154,7 +157,7 @@ fn rank_mismatch_is_rejected_as_config_error() {
     let text = "cs-serve-checkpoint v1\nclock 0\nhead_slot 3\nfactors 2 3\n\
                 3ff0000000000000 3ff0000000000000 3ff0000000000000\n\
                 3ff0000000000000 3ff0000000000000 3ff0000000000000\n";
-    let mut svc = service();
+    let mut svc = service(2);
     let err = svc.restore(text).unwrap_err().to_string();
     assert!(err.contains("rank") || err.contains("warm_factors"), "got: {err}");
 }

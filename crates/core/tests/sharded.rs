@@ -214,6 +214,18 @@ fn sharded_checkpoint_round_trips_and_validates() {
     let cut = &text[..text.len() - 20];
     let mut fresh2 = ShardedService::new(cfg(4)).unwrap();
     assert!(fresh2.restore(cut).is_err());
+
+    // Corrupt shard lengths are typed errors, never panics: one that
+    // overflows the body offset, and one that ends inside a multi-byte
+    // character.
+    let header = "cs-serve-shards v1\nshards 4 segments 10\n";
+    for corrupt in [
+        format!("{header}shard 0 18446744073709551615\ncs-serve-checkpoint v1\n"),
+        format!("{header}shard 0 1\n\u{e9}\n"),
+    ] {
+        let err = ShardedService::new(cfg(4)).unwrap().restore(&corrupt).unwrap_err();
+        assert!(err.to_string().contains("checkpoint"), "{corrupt:?}: {err}");
+    }
 }
 
 #[test]
