@@ -60,13 +60,14 @@ pub struct ChaosConfig {
     /// Flight-recorder dump path for degraded ticks and oracle
     /// failures (see [`ServeConfig::flight_dump`]).
     pub flight_dump: Option<std::path::PathBuf>,
-    /// Force a full warm sweep on every solve
-    /// (`ServeConfig::full_sweep_every = 1`), disabling the incremental
-    /// dirty-set path and the content-hash solve cache. The default
-    /// (`false`) runs the service as shipped; CI runs the sweep both
-    /// ways and diffs the summary lines — the final audit's
-    /// cold-restart + refresh makes the reported hashes solve-mode
-    /// invariant, so any divergence is an incremental-path bug.
+    /// Force a full warm sweep on every solve that misses the solve
+    /// cache (`ServeConfig::incremental = false`), disabling the
+    /// incremental dirty-set path; the content-hash solve cache still
+    /// answers unchanged windows. The default (`false`) runs the service
+    /// as shipped; CI runs the sweep both ways and diffs the summary
+    /// lines — the final audit's cold-restart + refresh makes the
+    /// reported hashes solve-mode invariant, so any divergence is an
+    /// incremental-path bug.
     pub full_sweep_only: bool,
     /// Segment-range shard workers for the engine under test. `1` (the
     /// default) is a bitwise pass-through of the classic single
@@ -194,8 +195,7 @@ pub fn run(cfg: &ChaosConfig) -> Result<ChaosReport, Error> {
         .backpressure(plan.backpressure)
         .warm_sweep_cap(Some(6))
         .solve_budget(None)
-        // 1 = full sweep every tick; 16 is the service's shipped cadence.
-        .full_sweep_every(if cfg.full_sweep_only { 1 } else { 16 })
+        .incremental(!cfg.full_sweep_only)
         .trace_sample(cfg.trace_sample)
         .flight_dump(cfg.flight_dump.clone())
         .shards(ShardPlan::with_count(cfg.shards.max(1)))

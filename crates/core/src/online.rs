@@ -492,7 +492,7 @@ impl OnlineEstimator {
     /// The dirty set is small, but propagation is not: every `L` row
     /// whose bits change drags in every column it observes. On a sparse
     /// wide window (8,192 segments × 16 slots at ~25% integrity) a tick
-    /// of 400 reports re-solves ~7,667 of the 8,208 units. So the `L`
+    /// of 400 reports re-solves ~8,114 of the 8,208 units. So the `L`
     /// step, the `R` step and the estimate update each fan out over
     /// [`CsConfig::num_threads`] workers, gated like the full sweep's
     /// solves. Each worker writes only the rows of the units it claims

@@ -193,18 +193,14 @@ pub struct ServeConfig {
     /// failure or watchdog overrun). `None` disables the dump; a dump
     /// additionally requires [`telemetry::flight::install`] to have run.
     pub flight_dump: Option<std::path::PathBuf>,
-    /// Correction-pass period for the incremental solve path: after a
-    /// full warm sweep, up to `full_sweep_every - 1` consecutive solves
-    /// may take the O(delta) dirty-set path before the next full sweep
-    /// is forced. `1` disables incremental solving entirely (every
-    /// solve is a full sweep, the pre-incremental behaviour).
-    pub full_sweep_every: u64,
-    /// Dirty-fraction ceiling for the incremental path: a delta pass
-    /// runs only while its estimated cost (dirty rows × segments +
-    /// dirty columns × slots + shift × segments) stays below this
-    /// fraction of the full `window_slots × num_segments` sweep cost.
-    /// Past it, a full sweep is cheaper anyway.
-    pub incremental_threshold: f64,
+    /// Whether primed solves take the O(delta) dirty-set path. `true`
+    /// (the default) runs a full warm sweep only to build or rebuild the
+    /// delta state — cold start, restore, cold restart, recovery after a
+    /// failed solve, a slide of a whole window — and a delta pass on
+    /// every other solve. `false` makes every solve a full warm sweep:
+    /// the reference that differential runs diff against. The solve
+    /// cache answers unchanged content either way.
+    pub incremental: bool,
     /// Segment-range shard layout for [`ShardedService`]; a bare
     /// [`Service`] requires the single-shard plan.
     ///
@@ -226,8 +222,7 @@ impl Default for ServeConfig {
             solve_budget: None,
             trace_sample: 0,
             flight_dump: None,
-            full_sweep_every: 16,
-            incremental_threshold: 0.5,
+            incremental: true,
             shards: crate::sharded::ShardPlan::single(),
         }
     }
@@ -263,18 +258,6 @@ impl ServeConfig {
         }
         if self.warm_sweep_cap == Some(0) {
             return Err(ConfigError::new("warm_sweep_cap", "sweep cap must be at least 1"));
-        }
-        if self.full_sweep_every == 0 {
-            return Err(ConfigError::new(
-                "full_sweep_every",
-                "correction-pass period must be at least 1 (1 disables incremental solving)",
-            ));
-        }
-        if !self.incremental_threshold.is_finite() || self.incremental_threshold < 0.0 {
-            return Err(ConfigError::new(
-                "incremental_threshold",
-                "dirty-fraction ceiling must be finite and non-negative",
-            ));
         }
         self.shards.validate(self.num_segments)?;
         self.cs.validate()
@@ -355,10 +338,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the correction-pass period for incremental solves (`1`
-    /// disables the incremental path).
-    pub fn full_sweep_every(mut self, v: u64) -> Self {
-        self.config.full_sweep_every = v;
+    /// Enables or disables the incremental dirty-set solve path
+    /// (`false`: every solve is a full warm sweep).
+    pub fn incremental(mut self, v: bool) -> Self {
+        self.config.incremental = v;
         self
     }
 
@@ -366,12 +349,6 @@ impl ServeConfigBuilder {
     /// [`crate::sharded::ShardedService`]).
     pub fn shards(mut self, v: crate::sharded::ShardPlan) -> Self {
         self.config.shards = v;
-        self
-    }
-
-    /// Sets the dirty-fraction ceiling for the incremental path.
-    pub fn incremental_threshold(mut self, v: f64) -> Self {
-        self.config.incremental_threshold = v;
         self
     }
 
@@ -571,9 +548,6 @@ pub struct Service {
     touched_bits: SlotBits,
     /// Solve-cache and incremental-path breakdown.
     solve_stats: SolveStats,
-    /// Successful solves since the last full sweep — drives the
-    /// [`ServeConfig::full_sweep_every`] correction pass.
-    solves_since_full: u64,
 }
 
 /// FNV-1a digest of one observed window cell, keyed by absolute slot so
@@ -687,7 +661,6 @@ impl Service {
             touched: Vec::new(),
             touched_bits: SlotBits::new(m, n),
             solve_stats: SolveStats::default(),
-            solves_since_full: 0,
         })
     }
 
@@ -1182,9 +1155,15 @@ impl Service {
         over_budget
     }
 
-    /// Per-solve failure bookkeeping: degraded accounting plus cache
-    /// invalidation. The window stays dirty so the next tick retries.
-    fn settle_degraded(&mut self) {
+    /// Per-solve failure bookkeeping for a solver error or a non-finite
+    /// result: degraded accounting plus cache invalidation; returns the
+    /// error for the span. The window stays dirty so the next tick
+    /// retries. Poisoned warm factors (a restored checkpoint holding NaN,
+    /// say) pass the Cholesky pivot check and yield a NaN objective. Such
+    /// a result is never published, and the estimator forgets its cached
+    /// factors, so the retry starts cold instead of warm-starting from
+    /// the poison again.
+    fn settle_degraded<T>(&mut self, failed: Result<T, Error>) -> String {
         self.stats.degraded += 1;
         if telemetry::metrics_enabled() {
             telemetry::counter("serve.degraded").incr();
@@ -1193,19 +1172,32 @@ impl Service {
         if let Some(last) = &mut self.last_good {
             last.stale = true;
         }
+        match failed {
+            Err(err) => err.to_string(),
+            Ok(_) => {
+                self.estimator.reset();
+                "non-finite objective".to_string()
+            }
+        }
     }
 
-    /// The dirty-set work plan for an incremental solve — window-relative
-    /// rows and segment columns touched since the last solve — or `None`
-    /// when the incremental path must not run: disabled, unprimed, due
-    /// for a correction pass, the window slid too far or may be empty,
-    /// or the dirty fraction makes a full sweep cheaper.
+    /// The dirty-set work plan for a delta pass — window-relative rows
+    /// and segment columns touched since the last solve — or `None` when
+    /// the full path must run: incremental solving is off, there is no
+    /// live estimate or no delta state (cold start, restore, cold
+    /// restart, recovery after a failed solve), the window may be empty,
+    /// or the head slid a whole window since priming.
+    ///
+    /// Nothing is priced. A delta pass solves each factor unit at most
+    /// once, so it costs at most one sweep plus the estimate update; the
+    /// full path costs up to `warm_sweep_cap` sweeps plus a snapshot, an
+    /// index build, `L·Rᵀ` and a re-prime. So a primed solve never gains
+    /// by taking the full path, even when propagation re-solves every
+    /// unit.
     fn incremental_plan(&self) -> Option<(Vec<usize>, Vec<u32>)> {
-        let (m, n) = (self.config.window_slots, self.config.num_segments);
-        if self.config.full_sweep_every <= 1
-            || self.solves_since_full + 1 >= self.config.full_sweep_every
+        let m = self.config.window_slots;
+        if !self.config.incremental
             || self.last_good.is_none()
-            || !self.estimator.incremental_primed()
             // A zero digest means the window is (almost surely) empty;
             // the full path owns the empty-window behaviour (a counted
             // degradation), and the delta pass must not shadow it.
@@ -1213,8 +1205,8 @@ impl Service {
         {
             return None;
         }
-        let head = self.window.head_slot();
-        let shift = head.checked_sub(self.estimator.incremental_head_slot()?)?;
+        // `None` while the estimator holds no delta state.
+        let shift = self.window.head_slot().checked_sub(self.estimator.incremental_head_slot()?)?;
         if shift >= m {
             return None;
         }
@@ -1232,17 +1224,6 @@ impl Service {
             }
         }
         let cols: Vec<u32> = set_bits(&col_bits).map(|j| j as u32).collect();
-        // Unit-solve cost model: a dirty row costs O(n) to gather and
-        // propagate, a dirty column O(m), and each shifted-in row O(n);
-        // a full sweep costs O(m·n) per sweep. It prices only this input
-        // dirty set, not the propagation the pass adds: every L row that
-        // changes re-solves every column it observes, which on a sparse
-        // wide window comes to most of the units (see
-        // `OnlineEstimator::update_incremental`).
-        let cost = rows.len() * n + cols.len() * m + shift * n;
-        if cost as f64 > self.config.incremental_threshold * (m * n) as f64 {
-            return None;
-        }
         Some((rows, cols))
     }
 
@@ -1251,10 +1232,9 @@ impl Service {
     /// Cheapest path first: a solve-cache hit (window content
     /// bit-identical to the last solved content, by [`Service::window_key`])
     /// reuses the live estimate without touching the solver; a primed
-    /// dirty set within budget takes the O(delta) incremental pass; and
-    /// everything else — including every [`ServeConfig::full_sweep_every`]-th
-    /// solve as a correction pass — runs the full warm sweep, which
-    /// re-primes the incremental state from its factors.
+    /// estimator takes the O(delta) incremental pass; and everything else
+    /// runs the full warm sweep, which primes the incremental state from
+    /// its factors.
     fn solve(&mut self) -> (bool, bool, Duration) {
         let key = self.window_key();
         let mut span = telemetry::span(Level::Debug, "serve.solve");
@@ -1293,7 +1273,7 @@ impl Service {
             );
             let wall = t0.elapsed();
             match outcome {
-                Ok(inc) => {
+                Ok(inc) if inc.objective.is_finite() => {
                     self.solve_stats.incremental_solves += 1;
                     self.solve_stats.rows_resolved += inc.rows_resolved as u64;
                     if telemetry::metrics_enabled() {
@@ -1313,19 +1293,18 @@ impl Service {
                     last.sweeps = 1;
                     last.objective = inc.objective;
                     self.last_good = Some(last);
-                    self.solves_since_full += 1;
                     self.last_solve_key = Some(key);
                     return (true, over_budget, wall);
                 }
-                Err(err) => {
+                failed => {
                     // The estimator dropped its delta state, so the
                     // retry next tick takes the full path; the partially
                     // updated estimate is kept, explicitly stale.
                     self.last_good = Some(last);
-                    self.settle_degraded();
+                    let error = self.settle_degraded(failed);
                     if span.is_enabled() {
                         span.record("path", "incremental");
-                        span.record("error", err.to_string());
+                        span.record("error", error);
                     }
                     return (false, true, wall);
                 }
@@ -1336,11 +1315,11 @@ impl Service {
         let outcome = self.estimator.update_detailed(&snapshot);
         let wall = t0.elapsed();
         match outcome {
-            Ok(result) => {
-                // Re-prime the delta path from this solve's factors (its
+            Ok(result) if result.objective.is_finite() => {
+                // Prime the delta path from this solve's factors (its
                 // L rows are exactly consistent with R, the property the
                 // dirty-row skip relies on).
-                if self.config.full_sweep_every > 1 {
+                if self.config.incremental {
                     let _ = self.estimator.prime_incremental(
                         &self.window,
                         self.window.head_slot(),
@@ -1364,18 +1343,17 @@ impl Service {
                     sweeps: result.sweeps,
                     objective: result.objective,
                 });
-                self.solves_since_full = 0;
                 self.last_solve_key = Some(key);
                 (true, over_budget, wall)
             }
-            Err(err) => {
+            failed => {
                 // Degrade: keep answering from the last good estimate,
                 // now explicitly stale. The window stays dirty so the
                 // next tick retries.
-                self.settle_degraded();
+                let error = self.settle_degraded(failed);
                 if span.is_enabled() {
                     span.record("path", "full");
-                    span.record("error", err.to_string());
+                    span.record("error", error);
                 }
                 (false, true, wall)
             }
@@ -1850,7 +1828,6 @@ mod tests {
             let cfg = ServeConfig {
                 window_slots: 4,
                 num_segments: 70,
-                incremental_threshold: 0.9,
                 cs: CsConfig { rank, lambda: 0.1, num_threads: 1, ..CsConfig::default() },
                 ..small_cfg()
             };

@@ -121,9 +121,12 @@ fn every_special_value_round_trips_and_the_service_stays_alive() {
     svc.restore(&text).unwrap();
     assert_eq!(svc.checkpoint(), text);
 
-    // Poisoned warm factors must never panic: the service has as many
-    // segments as the matrix has rows, so the next tick re-solves from
-    // them, and the service keeps answering the API.
+    // Poisoned warm factors must never panic, and never publish: the
+    // service has as many segments as the matrix has rows, so the next
+    // tick re-solves from them. NaN passes the Cholesky pivot check and
+    // the solve goes non-finite, so that tick degrades and the service
+    // drops the poison; the retry solves cold and publishes a finite,
+    // fresh estimate.
     use traffic_cs::service::Observation;
     for seg in 0..3 {
         svc.push(Observation {
@@ -133,8 +136,16 @@ fn every_special_value_round_trips_and_the_service_stays_alive() {
             speed_kmh: 30.0,
         });
     }
-    svc.tick();
-    let _ = svc.stats();
+    let poisoned = svc.tick();
+    assert!(poisoned.degraded && !poisoned.solved, "{poisoned:?}");
+    assert!(svc.latest().is_none(), "a non-finite solve must not publish");
+    let retry = svc.refresh();
+    assert!(retry.solved && !retry.degraded, "{retry:?}");
+    let live = svc.latest().expect("the cold retry publishes");
+    assert!(!live.stale);
+    assert!(live.objective.is_finite());
+    assert!(live.estimate.as_slice().iter().all(|v| v.is_finite()));
+    assert_eq!(svc.stats().degraded, 1);
 }
 
 #[test]
