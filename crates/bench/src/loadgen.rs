@@ -792,9 +792,9 @@ pub struct ScalePoint {
 
 /// Runs one leg per [`SCALE_GRIDS`] width at a *fixed* offered rate —
 /// the per-tick-latency-vs-grid-size curve. Holding the rate constant
-/// is the point: with the incremental solve path the dirty set per
-/// tick is bounded by the batch, so tick latency should stay nearly
-/// flat as the grid grows two orders of magnitude.
+/// is the point: admission work per tick is bounded by the batch, so
+/// the curve isolates what the grid size costs the solve (a warm pass
+/// re-solves every unit, so that part grows with the grid).
 ///
 /// # Errors
 ///

@@ -61,13 +61,13 @@ pub struct ChaosConfig {
     /// failures (see [`ServeConfig::flight_dump`]).
     pub flight_dump: Option<std::path::PathBuf>,
     /// Force a full warm sweep on every solve that misses the solve
-    /// cache (`ServeConfig::incremental = false`), disabling the
-    /// incremental dirty-set path; the content-hash solve cache still
-    /// answers unchanged windows. The default (`false`) runs the service
-    /// as shipped; CI runs the sweep both ways and diffs the summary
-    /// lines — the final audit's cold-restart + refresh makes the
-    /// reported hashes solve-mode invariant, so any divergence is an
-    /// incremental-path bug.
+    /// cache (`ServeConfig::incremental = false`), disabling the warm
+    /// pass; the content-hash solve cache still answers unchanged
+    /// windows. The default (`false`) runs the service as shipped; CI
+    /// runs the sweep both ways and diffs the summary lines. The final
+    /// audit's cold-restart + refresh makes the estimate hash solve-mode
+    /// invariant, so the diff compares the counters, the window, the
+    /// fault log and the post-audit estimate.
     pub full_sweep_only: bool,
     /// Segment-range shard workers for the engine under test. `1` (the
     /// default) is a bitwise pass-through of the classic single

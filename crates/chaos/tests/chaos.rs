@@ -78,8 +78,8 @@ fn seed_sweep_is_green_and_covers_the_fault_space() {
     assert!(sum(&|r| r.fault_log.len() as u64) > 0);
 }
 
-/// The incremental solve path (dirty-set updates, the shipped default)
-/// and a run that forces a full sweep on every cache miss must tell
+/// The warm-pass solve path (the shipped default) and a run that
+/// forces a full sweep on every cache miss must tell
 /// the same story line for line: the final audit cold-restarts the
 /// estimator and refreshes, so estimate/window hashes are solve-mode
 /// invariant, and the solve/degraded counters are mode-independent by

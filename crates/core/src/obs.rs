@@ -122,39 +122,22 @@ impl ObsIndex {
         let span = self.col_offsets[j]..self.col_offsets[j + 1];
         (&self.col_indices[span.clone()], &self.col_values[span])
     }
-
-    /// Row-major traversal as an [`AxisView`] (units are rows, indices
-    /// are column ids) — the `L` step's view.
-    pub fn rows_view(&self) -> AxisView<'_> {
-        AxisView {
-            offsets: &self.row_offsets,
-            indices: &self.row_indices,
-            values: &self.row_values,
-        }
-    }
-
-    /// Column-major traversal as an [`AxisView`] (units are columns,
-    /// indices are row ids) — the `R` step's view.
-    pub fn cols_view(&self) -> AxisView<'_> {
-        AxisView {
-            offsets: &self.col_offsets,
-            indices: &self.col_indices,
-            values: &self.col_values,
-        }
-    }
 }
 
-/// A per-unit view of observed entries that the incremental solve path
-/// can gather from on demand, without materializing a snapshot or a
-/// full [`ObsIndex`]. Gathering one row/column is O(axis length), so
-/// re-solving a dirty set of units touches only O(delta · axis) cells
-/// instead of the whole window.
+/// A per-unit view of observed entries that an ALS half-step gathers
+/// from, one row or column at a time. [`crate::cs`]'s unit solver and
+/// objective read every observation through it: the full sweep from an
+/// [`ObsIndex`] built off a snapshot, and the serve path's warm pass
+/// straight from the window's [`StreamingTcm`] accumulators, without
+/// materializing a snapshot or an index. Gathering one row or column
+/// walks that axis, so a warm pass touches each window cell once per
+/// half-step.
 ///
 /// Implementations must produce exactly the entries (same ids, same
 /// order, same value bits) that [`ObsIndex::from_tcm`] would index for
-/// the equivalent snapshot — that equivalence is what lets the
-/// incremental path share the full sweep's bit-for-bit guarantee. The
-/// incremental path gathers from several workers at once, hence `Sync`.
+/// the equivalent snapshot — that equivalence is what gives the warm
+/// pass the full sweep's bit-for-bit guarantee. Workers gather from one
+/// source at once, hence `Sync`.
 pub trait ObsSource: Sync {
     /// Matrix shape as `(rows, cols)`.
     fn shape(&self) -> (usize, usize);
@@ -223,51 +206,6 @@ impl ObsSource for StreamingTcm {
     }
 }
 
-/// One traversal order of an [`ObsIndex`]: a borrowed
-/// `offsets`/`indices`/`values` triple. `Copy`, so it moves freely into
-/// worker closures.
-#[derive(Debug, Clone, Copy)]
-pub struct AxisView<'a> {
-    offsets: &'a [usize],
-    indices: &'a [u32],
-    values: &'a [f64],
-}
-
-impl<'a> AxisView<'a> {
-    /// Builds a view from raw CSR arrays (`offsets.len() == units + 1`,
-    /// `offsets` non-decreasing, last offset equal to the entry count).
-    /// Exposed for tests and benches that synthesize small systems
-    /// without a [`Tcm`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the arrays are inconsistent.
-    pub fn new(offsets: &'a [usize], indices: &'a [u32], values: &'a [f64]) -> Self {
-        assert!(!offsets.is_empty(), "offsets must have at least one entry");
-        assert_eq!(indices.len(), values.len(), "indices/values length mismatch");
-        assert_eq!(*offsets.last().unwrap(), indices.len(), "last offset must equal entry count");
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be non-decreasing");
-        Self { offsets, indices, values }
-    }
-
-    /// Number of units (rows of the traversal).
-    pub fn units(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total entries across all units.
-    pub fn total(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Indices and values of unit `u`.
-    #[inline]
-    pub fn unit(&self, u: usize) -> (&'a [u32], &'a [f64]) {
-        let span = self.offsets[u]..self.offsets[u + 1];
-        (&self.indices[span.clone()], &self.values[span])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,24 +243,6 @@ mod tests {
             let got: Vec<(usize, f64)> =
                 idx.iter().zip(vals).map(|(&i, &v)| (i as usize, v)).collect();
             assert_eq!(&got, expected, "col {j}");
-        }
-    }
-
-    #[test]
-    fn views_agree_with_direct_accessors() {
-        let tcm = sample_tcm();
-        let obs = ObsIndex::from_tcm(&tcm);
-        let rows = obs.rows_view();
-        let cols = obs.cols_view();
-        assert_eq!(rows.units(), obs.num_rows());
-        assert_eq!(cols.units(), obs.num_cols());
-        assert_eq!(rows.total(), obs.total_observed());
-        assert_eq!(cols.total(), obs.total_observed());
-        for i in 0..rows.units() {
-            assert_eq!(rows.unit(i), obs.row(i));
-        }
-        for j in 0..cols.units() {
-            assert_eq!(cols.unit(j), obs.col(j));
         }
     }
 
@@ -434,22 +354,5 @@ mod tests {
         assert_eq!((idx.as_slice(), vals.as_slice()), obs.row(0));
         obs.gather_col(1, &mut idx, &mut vals);
         assert_eq!((idx.as_slice(), vals.as_slice()), obs.col(1));
-    }
-
-    #[test]
-    fn axis_view_new_validates() {
-        let offsets = [0usize, 2, 3];
-        let indices = [0u32, 1, 0];
-        let values = [1.0, 2.0, 3.0];
-        let view = AxisView::new(&offsets, &indices, &values);
-        assert_eq!(view.units(), 2);
-        assert_eq!(view.unit(0), (&indices[..2], &values[..2]));
-        assert_eq!(view.unit(1), (&indices[2..], &values[2..]));
-    }
-
-    #[test]
-    #[should_panic(expected = "last offset")]
-    fn axis_view_new_rejects_bad_offsets() {
-        AxisView::new(&[0, 5], &[0u32], &[1.0]);
     }
 }

@@ -10,6 +10,10 @@
 //!   the next solve ([`crate::cs::complete_matrix_warm`]) — consecutive
 //!   windows share `W − 1` rows, so a couple of sweeps suffice instead
 //!   of the offline `t = 100`;
+//! * once a solve has primed it, the serve path keeps the estimate
+//!   current with one warm pass per tick
+//!   ([`OnlineEstimator::update_pass`]): one `L` step and one `R` step
+//!   of the same alternation, straight off the window's accumulators;
 //! * the caller reads the freshest row of the estimate as the live
 //!   traffic map.
 //!
@@ -17,15 +21,13 @@
 //! sliding window) is `probes::stream::StreamingTcm`.
 
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cs::{
-    complete_matrix_warm, gate_threads, solve_work, CompletionResult, CsConfig, CsError, SolveAxis,
+    complete_matrix_warm, dot, for_each_unit, objective, solve_factor, CompletionResult, CsConfig,
+    SolveAxis, ThreadPlan,
 };
 use crate::error::{ConfigError, Error};
 use crate::obs::ObsSource;
-use crate::service::set_bits;
-use linalg::lstsq::GramScratch;
 use linalg::Matrix;
 use probes::Tcm;
 
@@ -51,213 +53,17 @@ use probes::Tcm;
 pub struct OnlineEstimator {
     config: CsConfig,
     window_slots: usize,
-    /// Segment factors of the previous solve, used as warm start.
+    /// Segment factors of the last successful solve or pass, used as
+    /// warm start.
     prev_r: Option<Matrix>,
+    /// Whether `prev_r` came from a successful full solve or warm pass
+    /// (not a restore), so [`OnlineEstimator::update_pass`] may run.
+    primed: bool,
     /// Number of solves performed.
     updates: u64,
     /// Total sweeps across all solves (for the warm-start speedup
     /// diagnostics).
     total_sweeps: u64,
-    /// Cached factor state for the incremental dirty-set solve path;
-    /// `None` until [`OnlineEstimator::prime_incremental`] runs after a
-    /// full solve.
-    delta: Option<DeltaState>,
-}
-
-/// Outcome of one [`OnlineEstimator::update_incremental`] delta pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IncrementalOutcome {
-    /// Ridge objective (Eq. 16) of the updated factors. Computed from
-    /// cached per-column fit and per-row norm partials; numerically the
-    /// same quantity as the full sweep's objective but accumulated
-    /// per-row, so the two can differ in the last ulps.
-    pub objective: f64,
-    /// Factor units (`L` rows plus `R` columns) actually re-solved.
-    pub rows_resolved: usize,
-}
-
-/// Everything the incremental path caches between delta passes: the
-/// current factor pair, the objective bookkeeping that lets a pass
-/// re-score only re-solved units, and the carry-forward dirty rows.
-///
-/// The invariant the pass preserves (and the dirty-set pruning relies
-/// on): every `L` row not in `pending_rows` satisfies
-/// `l[i] == ridge(r, obs_row(i))` bit-for-bit — true after a full solve
-/// (the best iterate's `L` step ran against its `R`), and maintained by
-/// marking every row observed in a changed `R` column as pending.
-#[derive(Debug, Clone)]
-struct DeltaState {
-    /// Absolute head slot the cached state corresponds to.
-    head_slot: usize,
-    /// Slot factors, `window_slots × rank`.
-    l: Matrix,
-    /// Segment factors, `num_segments × rank`.
-    r: Matrix,
-    /// Per-column Σ(pred − v)² over that column's observed entries, in
-    /// ascending row order — the same per-column partials the full
-    /// sweep's fused objective reduces in column order.
-    fit_cols: Vec<f64>,
-    /// Per-row ‖l_i‖² partials of the `L` regularizer term.
-    l_row_norms: Vec<f64>,
-    /// Per-row ‖r_j‖² partials of the `R` regularizer term.
-    r_row_norms: Vec<f64>,
-    /// Rows whose cached `L` is stale because a previous pass changed an
-    /// `R` column they observe; re-solved by the next pass regardless of
-    /// data dirt. Sorted ascending.
-    pending_rows: Vec<usize>,
-}
-
-/// `Σ v²` of one factor row, the per-row regularizer partial.
-fn row_norm_sq(row: &[f64]) -> f64 {
-    row.iter().map(|v| v * v).sum()
-}
-
-/// `Σ (pred − v)²` over one column's observed entries (`rows`
-/// ascending) under `l` and the column's factor row `r_row` — the
-/// per-column partial the full sweep's fused objective reduces in
-/// column order.
-fn column_fit(l: &Matrix, r_row: &[f64], rows: &[u32], vals: &[f64]) -> f64 {
-    let mut partial = 0.0;
-    for (&i, &v) in rows.iter().zip(vals) {
-        let pred = dot_lr(l.row(i as usize), r_row);
-        partial += (pred - v) * (pred - v);
-    }
-    partial
-}
-
-/// A zeroed `len`-bit set that workers mark concurrently.
-fn atomic_bits(len: usize) -> Vec<AtomicU64> {
-    (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
-}
-
-/// Sets the bits named by `ids` (ascending), one `fetch_or` per touched
-/// word. OR commutes, so the final set is the same at any thread count
-/// and schedule. `Relaxed` suffices: the bits publish no other data,
-/// and the fan-out's join orders every mark before the fold reads them.
-fn mark_bits(bits: &[AtomicU64], ids: &[u32]) {
-    let flush = |word: usize, mask: u64| {
-        if mask != 0 {
-            bits[word].fetch_or(mask, Ordering::Relaxed);
-        }
-    };
-    let (mut word, mut mask) = (0, 0u64);
-    for &k in ids {
-        if k as usize / 64 != word {
-            flush(word, mask);
-            (word, mask) = (k as usize / 64, 0);
-        }
-        mask |= 1 << (k % 64);
-    }
-    flush(word, mask);
-}
-
-/// One factor unit a delta pass re-solves. The worker that claims it
-/// overwrites `row` — the unit's row of the cached factor matrix — only
-/// when the new solution differs in some bit, and leaves the rest for
-/// the ascending fold.
-struct UnitSlot<'a> {
-    index: usize,
-    row: &'a mut [f64],
-    changed: bool,
-    /// The column's fit partial under the final factors (`R` step only).
-    fit: f64,
-}
-
-/// Slots for `units` (ascending, in range) over the rows of `factors`.
-fn unit_slots<'a>(factors: &'a mut Matrix, units: &[usize]) -> Vec<UnitSlot<'a>> {
-    let rank = factors.cols();
-    let mut rows = factors.as_mut_slice().chunks_mut(rank).enumerate();
-    units
-        .iter()
-        .map(|&u| {
-            let (_, row) = rows.find(|&(k, _)| k == u).expect("units ascending and in range");
-            UnitSlot { index: u, row, changed: false, fit: 0.0 }
-        })
-        .collect()
-}
-
-/// Per-worker buffers of a delta-pass fan-out: one unit's gathered
-/// observations, its candidate solution and the Gram kernel scratch.
-struct UnitScratch {
-    idx: Vec<u32>,
-    val: Vec<f64>,
-    cand: Vec<f64>,
-    gram: GramScratch,
-}
-
-/// Re-solves every unit of `slots` on `axis` against `design` (the
-/// other axis' factors) across up to `num_threads` workers. A worker
-/// whose solution changes a unit's bits writes it and marks the unit's
-/// observed indices in `marks` — the units on the other axis the change
-/// propagates to. Column units are also re-scored under their final row
-/// and `design` (`L`). A failure reports the smallest failing unit, as
-/// the sequential loop would: blocks run their units in ascending order
-/// and stop at the first failure, and the pool reports the smallest
-/// failing block.
-fn resolve_units(
-    source: &dyn ObsSource,
-    axis: SolveAxis,
-    design: &Matrix,
-    lambda: f64,
-    num_threads: usize,
-    slots: &mut [UnitSlot<'_>],
-    marks: &[AtomicU64],
-) -> Result<(), CsError> {
-    let rank = design.cols();
-    // Gated like the full sweep's solves. Gathering a unit walks its
-    // whole axis, which stands in for the observed entries the gate
-    // prices.
-    let (m, n) = source.shape();
-    let walk = if axis == SolveAxis::Row { n } else { m };
-    let work = solve_work(slots.len() * walk, slots.len(), rank);
-    // Workers claim blocks of ⌊√units⌋ units, not single units: a claim
-    // per unit made the shared claim cursor and neighbouring slots'
-    // cache lines bounce between workers, while ~√units blocks still
-    // leave enough claims to balance the load.
-    let mut blocks: Vec<&mut [UnitSlot<'_>]> =
-        slots.chunks_mut(slots.len().isqrt().max(1)).collect();
-    workpool::try_parallel_for_each_mut_with(
-        &mut blocks,
-        gate_threads(work, num_threads),
-        || UnitScratch {
-            idx: Vec::new(),
-            val: Vec::new(),
-            cand: vec![0.0; rank],
-            gram: GramScratch::new(rank),
-        },
-        |_, block, w| {
-            for slot in block.iter_mut() {
-                match axis {
-                    SolveAxis::Row => source.gather_row(slot.index, &mut w.idx, &mut w.val),
-                    SolveAxis::Column => source.gather_col(slot.index, &mut w.idx, &mut w.val),
-                }
-                w.gram.solve_ridge_rows(design, &w.idx, &w.val, lambda, &mut w.cand).map_err(
-                    |e| CsError::Solve { axis, index: slot.index, detail: e.to_string() },
-                )?;
-                if slot.row.iter().zip(&w.cand).any(|(a, b)| a.to_bits() != b.to_bits()) {
-                    slot.row.copy_from_slice(&w.cand);
-                    slot.changed = true;
-                    mark_bits(marks, &w.idx);
-                }
-                if axis == SolveAxis::Column {
-                    slot.fit = column_fit(design, slot.row, &w.idx, &w.val);
-                }
-            }
-            Ok(())
-        },
-    )
-}
-
-/// `l_row · r_row` with ascending-`k` accumulation — the exact inner
-/// loop of both [`Matrix::matmul_transpose_b`] (the full path's
-/// `L Rᵀ` estimate) and the fused objective, so estimate cells written
-/// incrementally carry the same bits the full recompute would produce.
-fn dot_lr(l_row: &[f64], r_row: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (a, b) in l_row.iter().zip(r_row) {
-        acc += a * b;
-    }
-    acc
 }
 
 impl OnlineEstimator {
@@ -279,7 +85,7 @@ impl OnlineEstimator {
             );
         }
         config.validate()?;
-        Ok(Self { config, window_slots, prev_r: None, updates: 0, total_sweeps: 0, delta: None })
+        Ok(Self { config, window_slots, prev_r: None, primed: false, updates: 0, total_sweeps: 0 })
     }
 
     /// Window height this estimator completes.
@@ -287,17 +93,17 @@ impl OnlineEstimator {
         self.window_slots
     }
 
-    /// The cached warm-start segment factors `R̂` of the previous solve,
-    /// if any — the state a service checkpoints so a restarted process
-    /// converges in a couple of sweeps instead of a cold `t = 100`.
-    /// When the incremental path is primed, its (fresher) segment
-    /// factors take precedence over the last full solve's.
+    /// The cached warm-start segment factors `R̂` of the last successful
+    /// solve or pass, if any — the state a service checkpoints so a
+    /// restarted process converges in a couple of sweeps instead of a
+    /// cold `t = 100`.
     pub fn warm_factors(&self) -> Option<&Matrix> {
-        self.delta.as_ref().map(|d| &d.r).or(self.prev_r.as_ref())
+        self.prev_r.as_ref()
     }
 
     /// Restores warm-start factors saved by a previous process (see
-    /// [`OnlineEstimator::warm_factors`]).
+    /// [`OnlineEstimator::warm_factors`]). The estimator is left
+    /// unprimed: the next solve is a full warm sweep.
     ///
     /// # Errors
     ///
@@ -318,9 +124,7 @@ impl OnlineEstimator {
             .into());
         }
         self.prev_r = Some(r);
-        // Restored factors describe a different trajectory than the
-        // cached incremental state; drop it rather than mix the two.
-        self.delta = None;
+        self.primed = false;
         Ok(())
     }
 
@@ -358,12 +162,15 @@ impl OnlineEstimator {
         Ok(self.update_detailed(window)?.estimate)
     }
 
-    /// Like [`OnlineEstimator::update`], returning full diagnostics.
+    /// Like [`OnlineEstimator::update`], returning full diagnostics. A
+    /// successful solve primes the estimator; a failed one leaves it
+    /// unprimed.
     ///
     /// # Errors
     ///
     /// See [`OnlineEstimator::update`].
     pub fn update_detailed(&mut self, window: &Tcm) -> Result<CompletionResult, Error> {
+        self.primed = false;
         if window.num_slots() != self.window_slots {
             return Err(ConfigError::new(
                 "window",
@@ -375,13 +182,7 @@ impl OnlineEstimator {
             )
             .into());
         }
-        // A full sweep consumes the incremental state: warm-start from
-        // its segment factors when present (they are fresher than the
-        // last full solve's), then let the caller re-prime from this
-        // solve's result.
-        let delta_r = self.delta.take().map(|d| d.r);
-        let warm = delta_r.as_ref().or(self.prev_r.as_ref());
-        if let Some(prev) = warm {
+        if let Some(prev) = &self.prev_r {
             if prev.rows() != window.num_segments() {
                 return Err(ConfigError::new(
                     "window",
@@ -394,290 +195,112 @@ impl OnlineEstimator {
                 .into());
             }
         }
-        let result = match warm {
+        let result = match &self.prev_r {
             Some(prev) => complete_matrix_warm(window, &self.config, prev)?,
             None => crate::cs::complete_matrix_detailed(window, &self.config)?,
         };
         self.prev_r = Some(result.factors.1.clone());
+        self.primed = true;
         self.updates += 1;
         self.total_sweeps += result.sweeps as u64;
         Ok(result)
     }
 
-    /// Whether the incremental delta path is primed (a full solve ran
-    /// and [`OnlineEstimator::prime_incremental`] cached its factors).
-    pub fn incremental_primed(&self) -> bool {
-        self.delta.is_some()
+    /// Whether [`OnlineEstimator::update_pass`] may run: the warm `R`
+    /// came from a successful full solve or pass, and nothing since has
+    /// reset, restored or failed.
+    pub fn primed(&self) -> bool {
+        self.primed
     }
 
-    /// Absolute head slot the cached incremental state corresponds to,
-    /// when primed — the service uses it to bound how far the window may
-    /// slide before the delta pass must give way to a full sweep.
-    pub fn incremental_head_slot(&self) -> Option<usize> {
-        self.delta.as_ref().map(|d| d.head_slot)
-    }
-
-    /// Caches a full solve's factor pair (`l`: `window_slots × rank`,
-    /// `r`: `num_segments × rank`) plus the objective bookkeeping the
-    /// dirty-set delta passes need. Call right after a successful
-    /// [`OnlineEstimator::update_detailed`] whose window headed at
-    /// `head_slot` and whose observations `source` still describes.
+    /// One warm pass of Algorithm 1 over the window `source` holds —
+    /// the streaming extension's cheap solve. It solves every `L` row
+    /// against the held `R`, then every `R` column against the new `L`
+    /// into a spare buffer, and scores the objective (each column's fit
+    /// is scored while the `R` step has it gathered). Only if the
+    /// objective is finite does it swap the new `R` in and rewrite
+    /// `estimate` in place as `L Rᵀ`.
+    ///
+    /// Both half-steps run [`crate::cs`]'s unit solver, the same one
+    /// the full sweep runs, and the objective is the full sweep's too;
+    /// each fans out over [`CsConfig::num_threads`] workers (gated like
+    /// the full sweep, pricing a gather as a walk of its whole axis), so
+    /// the pass is bit-identical at any thread count. A pass re-solves
+    /// every unit, `window_slots + num_segments` of them: `L` carries no
+    /// state between passes, so the window may have slid since the last
+    /// solve.
+    ///
+    /// Returns the objective. When it is not finite, or a unit solve
+    /// fails, `estimate` and the warm `R` are left exactly as they were
+    /// and the estimator is unprimed, so the retry is a full warm sweep
+    /// from the last good `R`.
     ///
     /// # Errors
     ///
-    /// [`Error::Config`] when the factor shapes do not match `source`'s
-    /// shape and the configured rank.
-    pub fn prime_incremental(
+    /// [`Error::Config`] when not primed or the shapes do not match the
+    /// primed factors; solver failures surface as [`enum@Error`]
+    /// exactly like the full path's, naming the smallest failing row
+    /// (`L` step) or column (`R` step).
+    pub fn update_pass(
         &mut self,
         source: &dyn ObsSource,
-        head_slot: usize,
-        l: &Matrix,
-        r: &Matrix,
-    ) -> Result<(), Error> {
-        let (m, n) = source.shape();
-        let rank = self.config.rank;
-        if m != self.window_slots || l.shape() != (m, rank) || r.shape() != (n, rank) {
-            return Err(ConfigError::new(
-                "incremental",
-                format!(
-                    "factor shapes {}x{} / {}x{} incompatible with {}x{} window at rank {rank}",
-                    l.rows(),
-                    l.cols(),
-                    r.rows(),
-                    r.cols(),
-                    self.window_slots,
-                    n
-                ),
-            )
-            .into());
+        estimate: &mut Matrix,
+    ) -> Result<f64, Error> {
+        let outcome = self.pass(source, estimate);
+        self.primed = matches!(outcome, Ok(v) if v.is_finite());
+        if self.primed {
+            self.updates += 1;
+            self.total_sweeps += 1;
         }
-        let (mut idx, mut val) = (Vec::new(), Vec::new());
-        let fit_cols = (0..n)
-            .map(|j| {
-                source.gather_col(j, &mut idx, &mut val);
-                column_fit(l, r.row(j), &idx, &val)
-            })
-            .collect();
-        let l_row_norms = (0..m).map(|i| row_norm_sq(l.row(i))).collect();
-        let r_row_norms = (0..n).map(|j| row_norm_sq(r.row(j))).collect();
-        self.delta = Some(DeltaState {
-            head_slot,
-            l: l.clone(),
-            r: r.clone(),
-            fit_cols,
-            l_row_norms,
-            r_row_norms,
-            pending_rows: Vec::new(),
-        });
-        Ok(())
+        outcome
     }
 
-    /// One O(delta) pass over the dirty set: re-solves the dirty `L`
-    /// rows against the cached `R`, then the dirty `R` columns (the
-    /// given ones plus every column observed in an `L` row whose bits
-    /// changed) against the new `L`, updating `estimate` in place so it
-    /// stays exactly `L Rᵀ` of the updated factors.
-    ///
-    /// `dirty_rows` are window-relative row indices and `dirty_cols`
-    /// segment columns, both sorted ascending, describing every cell
-    /// whose content changed since the state was primed (or since the
-    /// previous delta pass) — including cells that left the window:
-    /// `head_slot` may have advanced, in which case the cached state and
-    /// `estimate` are shifted and the newly-entered bottom rows re-solved.
-    ///
-    /// Each unit solve runs the same [`GramScratch::solve_ridge_rows`]
-    /// entry point as the full sweep, so a re-solved unit's bits equal
-    /// what a full sweep in the same position would produce.
-    ///
-    /// The dirty set is small, but propagation is not: every `L` row
-    /// whose bits change drags in every column it observes. On a sparse
-    /// wide window (8,192 segments × 16 slots at ~25% integrity) a tick
-    /// of 400 reports re-solves ~8,114 of the 8,208 units. So the `L`
-    /// step, the `R` step and the estimate update each fan out over
-    /// [`CsConfig::num_threads`] workers, gated like the full sweep's
-    /// solves. Each worker writes only the rows of the units it claims
-    /// and ORs the units they propagate to into a shared bitset; norms,
-    /// fit partials and the changed-unit lists are then folded in
-    /// ascending unit order. The result is bit-identical at any thread
-    /// count, and a failing solve reports the smallest failing row (`L`
-    /// step) or column (`R` step).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Config`] when not primed, shapes mismatch, or the window
-    /// slid backwards / past the cached state; solver failures surface
-    /// as [`enum@Error`] exactly like the full path's. On error the
-    /// cached state is dropped — the next solve must be a full sweep.
-    pub fn update_incremental(
-        &mut self,
-        source: &dyn ObsSource,
-        head_slot: usize,
-        dirty_rows: &[usize],
-        dirty_cols: &[u32],
-        estimate: &mut Matrix,
-    ) -> Result<IncrementalOutcome, Error> {
-        match self.delta_pass(source, head_slot, dirty_rows, dirty_cols, estimate) {
-            Ok(outcome) => {
-                self.updates += 1;
-                self.total_sweeps += 1;
-                Ok(outcome)
-            }
-            Err(e) => {
-                self.delta = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn delta_pass(
-        &mut self,
-        source: &dyn ObsSource,
-        head_slot: usize,
-        dirty_rows: &[usize],
-        dirty_cols: &[u32],
-        estimate: &mut Matrix,
-    ) -> Result<IncrementalOutcome, Error> {
+    fn pass(&mut self, source: &dyn ObsSource, estimate: &mut Matrix) -> Result<f64, Error> {
         let (m, n) = source.shape();
-        let rank = self.config.rank;
-        let lambda = self.config.lambda;
-        let not_primed = || ConfigError::new("incremental", "delta state not primed");
-        let state = self.delta.as_mut().ok_or_else(not_primed)?;
-        if m != state.l.rows() || n != state.r.rows() || estimate.shape() != (m, n) {
-            return Err(ConfigError::new(
-                "incremental",
-                format!(
-                    "shape changed under the delta state: window {m}x{n}, estimate {}x{}",
-                    estimate.rows(),
-                    estimate.cols()
-                ),
-            )
-            .into());
+        let cfg = &self.config;
+        let rank = cfg.rank;
+        let r = match &self.prev_r {
+            Some(r) if self.primed => r,
+            _ => return Err(ConfigError::new("warm_pass", "estimator not primed").into()),
+        };
+        if m != self.window_slots || r.rows() != n || estimate.shape() != (m, n) {
+            let shapes =
+                format!("window {m}x{n}, estimate {:?}, R {:?}", estimate.shape(), r.shape());
+            return Err(ConfigError::new("warm_pass", shapes + " disagree").into());
         }
-        let shift = head_slot.checked_sub(state.head_slot).ok_or_else(|| {
-            ConfigError::new("incremental", "window head moved backwards since priming")
-        })?;
-        if shift >= m {
-            return Err(ConfigError::new(
-                "incremental",
-                "window advanced past the cached state; run a full sweep",
-            )
-            .into());
-        }
-        let DeltaState {
-            head_slot: state_head,
-            l,
-            r,
-            fit_cols,
-            l_row_norms,
-            r_row_norms,
-            pending_rows,
-        } = state;
-        if shift > 0 {
-            // Slide the cached state with the window: surviving slots
-            // keep their factor rows (same content, new row index), the
-            // newly-entered bottom rows start from zero and are
-            // re-solved below.
-            l.as_mut_slice().copy_within(shift * rank.., 0);
-            l.as_mut_slice()[(m - shift) * rank..].fill(0.0);
-            estimate.as_mut_slice().copy_within(shift * n.., 0);
-            l_row_norms.copy_within(shift.., 0);
-            l_row_norms[m - shift..].fill(0.0);
-            pending_rows.retain_mut(|i| match i.checked_sub(shift) {
-                Some(v) => {
-                    *i = v;
-                    true
-                }
-                None => false,
-            });
-            *state_head = head_slot;
-        }
-        let threads = self.config.num_threads;
-        // L step: dirty rows, carried-over pending rows, and the rows
-        // that just entered the window, against the cached R. Columns
-        // observing a changed row see a changed design matrix, so their
-        // ridge solutions must be refreshed: the workers mark them.
-        let mut rows_to_solve: Vec<usize> =
-            Vec::with_capacity(dirty_rows.len() + pending_rows.len() + shift);
-        rows_to_solve.extend_from_slice(dirty_rows);
-        rows_to_solve.extend_from_slice(pending_rows);
-        rows_to_solve.extend(m - shift..m);
-        rows_to_solve.sort_unstable();
-        rows_to_solve.dedup();
-        if rows_to_solve.last().is_some_and(|&i| i >= m) {
-            return Err(ConfigError::new("incremental", "dirty row out of range").into());
-        }
-        let col_marks = atomic_bits(n);
-        let mut slots = unit_slots(l, &rows_to_solve);
-        resolve_units(source, SolveAxis::Row, r, lambda, threads, &mut slots, &col_marks)?;
-        // Estimate rows to recompute in full: rows whose L changed and
-        // the rows that just entered the window.
-        let mut full_rows = vec![false; m];
-        full_rows[m - shift..].fill(true);
-        for slot in slots.iter().filter(|s| s.changed) {
-            l_row_norms[slot.index] = row_norm_sq(slot.row);
-            full_rows[slot.index] = true;
-        }
-        // R step against the updated L, over the marked columns plus
-        // the dirty ones, ascending. The L rows observed in a changed
-        // column are now stale relative to R; the workers mark them
-        // pending for the next pass.
-        if dirty_cols.iter().any(|&j| j as usize >= n) {
-            return Err(ConfigError::new("incremental", "dirty column out of range").into());
-        }
-        let mut col_words: Vec<u64> = col_marks.into_iter().map(AtomicU64::into_inner).collect();
-        for &j in dirty_cols {
-            col_words[j as usize / 64] |= 1 << (j % 64);
-        }
-        let cols_to_solve: Vec<usize> = set_bits(&col_words).collect();
-        let row_marks = atomic_bits(m);
-        let mut slots = unit_slots(r, &cols_to_solve);
-        resolve_units(source, SolveAxis::Column, l, lambda, threads, &mut slots, &row_marks)?;
-        let mut changed_cols: Vec<usize> = Vec::new();
-        for slot in &slots {
-            fit_cols[slot.index] = slot.fit;
-            if slot.changed {
-                r_row_norms[slot.index] = row_norm_sq(slot.row);
-                changed_cols.push(slot.index);
-            }
-        }
-        let row_words: Vec<u64> = row_marks.into_iter().map(AtomicU64::into_inner).collect();
-        *pending_rows = set_bits(&row_words).collect();
-        // Estimate maintenance, each cell written once, row by row: a
-        // full row recomputes all n cells, any other row only its
-        // changed columns. Every cell is l_i · r_j — bit-identical to
-        // the full path's `matmul_transpose_b`; untouched cells keep
-        // bits that already equal that product.
-        let (l, r) = (&*l, &*r);
-        let full = full_rows.iter().filter(|&&f| f).count();
-        let cells = full * n + (m - full) * changed_cols.len();
-        // `max(1)`: a zero-width window has no cells to chunk.
-        let mut est_rows: Vec<&mut [f64]> = estimate.as_mut_slice().chunks_mut(n.max(1)).collect();
-        let Ok(()) = workpool::try_parallel_for_each_mut(
-            &mut est_rows,
-            gate_threads(cells * rank, threads),
-            |i, row| {
-                let l_row = l.row(i);
-                if full_rows[i] {
+        let plan = ThreadPlan::new(m * n, m, n, rank, cfg.num_threads);
+        let mut l = Matrix::zeros(m, rank);
+        solve_factor(r, source, SolveAxis::Row, cfg, plan.row_solve, &mut l, None)?;
+        // The R step scores each column's fit while it is gathered.
+        let (mut new_r, mut fit) = (Matrix::zeros(n, rank), vec![0.0; n]);
+        solve_factor(
+            &l,
+            source,
+            SolveAxis::Column,
+            cfg,
+            plan.col_solve,
+            &mut new_r,
+            Some(&mut fit),
+        )?;
+        let v = objective(&fit, &l, &new_r, cfg.lambda);
+        if v.is_finite() {
+            // Each cell is `l_i · r_j`, bit-identical to the full path's
+            // `matmul_transpose_b`.
+            let mut rows: Vec<&mut [f64]> = estimate.as_mut_slice().chunks_mut(n).collect();
+            let Ok(()) = for_each_unit(
+                &mut rows,
+                plan.objective,
+                || (),
+                |i, row, ()| {
                     for (j, cell) in row.iter_mut().enumerate() {
-                        *cell = dot_lr(l_row, r.row(j));
+                        *cell = dot(l.row(i), new_r.row(j));
                     }
-                } else {
-                    for &j in &changed_cols {
-                        row[j] = dot_lr(l_row, r.row(j));
-                    }
-                }
-                Ok::<(), Infallible>(())
-            },
-        );
-        // Objective from the cached partials: per-column fit folded in
-        // column order plus the regularizer folded per row.
-        let fit: f64 = fit_cols.iter().sum();
-        let l2: f64 = l_row_norms.iter().sum();
-        let r2: f64 = r_row_norms.iter().sum();
-        Ok(IncrementalOutcome {
-            objective: fit + lambda * (l2 + r2),
-            rows_resolved: rows_to_solve.len() + cols_to_solve.len(),
-        })
+                    Ok::<(), Infallible>(())
+                },
+            );
+            self.prev_r = Some(new_r);
+        }
+        Ok(v)
     }
 
     /// The freshest estimated traffic conditions: the last row of an
@@ -700,14 +323,16 @@ impl OnlineEstimator {
     /// Forgets the cached factors (call when the segment set changes).
     pub fn reset(&mut self) {
         self.prev_r = None;
-        self.delta = None;
+        self.primed = false;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cs::CsError;
     use crate::metrics::nmae_on_missing;
+    use linalg::lstsq::GramScratch;
     use probes::mask::random_mask;
     use rand::SeedableRng;
 
@@ -869,10 +494,9 @@ mod tests {
         assert!(err < 0.15, "online pipeline NMAE {err}");
     }
 
-    /// Streaming fixture for the incremental tests: a 6-slot, 10-segment
-    /// window pre-filled with deterministic reports, plus the estimator
-    /// primed from a full solve over it.
-    fn primed_fixture() -> (probes::stream::StreamingTcm, OnlineEstimator, Matrix) {
+    /// Streaming fixture for the warm-pass tests: a 6-slot, 10-segment
+    /// window pre-filled with deterministic reports.
+    fn small_stream() -> probes::stream::StreamingTcm {
         use probes::stream::StreamingTcm;
         let (m, n) = (6usize, 10usize);
         let mut stream = StreamingTcm::new(0, 60, m, n).unwrap();
@@ -883,154 +507,57 @@ mod tests {
                 stream.observe(slot as u64 * 60 + k as u64, seg, speed).unwrap();
             }
         }
-        let mut online = OnlineEstimator::new(cfg(), m).unwrap();
-        let result = online.update_detailed(&stream.snapshot()).unwrap();
-        online
-            .prime_incremental(&stream, stream.head_slot(), &result.factors.0, &result.factors.1)
-            .unwrap();
-        (stream, online, result.estimate)
+        stream
     }
 
-    /// Dirty cells for round `round` of the incremental tests: a couple
-    /// of in-window updates plus, on odd rounds, a report one slot past
-    /// the head so the window slides.
-    fn mutate_round(
-        stream: &mut probes::stream::StreamingTcm,
-        round: usize,
-    ) -> (Vec<usize>, Vec<u32>) {
+    /// Round `round` of the warm-pass tests: a few in-window updates
+    /// plus, on odd rounds, a report one slot past the head so the
+    /// window slides.
+    fn mutate_round(stream: &mut probes::stream::StreamingTcm, round: usize) {
         let n = stream.num_segments();
         let m = stream.window_slots();
-        let mut dirty_rows = Vec::new();
-        let mut dirty_cols: Vec<u32> = Vec::new();
         if round % 2 == 1 {
-            // Advance the head by one slot: every column observed in
-            // the evicted tail row changes content.
-            let (_, counts) = stream.row_raw(0);
-            dirty_cols
-                .extend(counts.iter().enumerate().filter(|(_, &c)| c > 0.0).map(|(j, _)| j as u32));
             let slot = stream.head_slot() + 1;
             stream.observe(slot as u64 * 60, (round * 3) % n, 40.0 + round as f64).unwrap();
-            dirty_rows.push(m - 1);
-            dirty_cols.push(((round * 3) % n) as u32);
         }
         for k in 0..3usize {
             let row = (round + k * 2) % (m - 1);
             let seg = (round * 5 + k * 3) % n;
             let ts = (stream.tail_slot() + row) as u64 * 60 + 30;
             stream.observe(ts, seg, 31.0 + (round + k) as f64).unwrap();
-            dirty_rows.push(row);
-            dirty_cols.push(seg as u32);
-        }
-        dirty_rows.sort_unstable();
-        dirty_rows.dedup();
-        dirty_cols.sort_unstable();
-        dirty_cols.dedup();
-        (dirty_rows, dirty_cols)
-    }
-
-    #[test]
-    fn incremental_estimate_stays_consistent_with_factors() {
-        // After every delta pass — including ones where the window
-        // slides — the maintained estimate must equal L·Rᵀ of the
-        // cached factors bit for bit, the invariant that makes the
-        // incremental path indistinguishable from a from-factors
-        // materialization downstream.
-        let (mut stream, mut online, mut estimate) = primed_fixture();
-        assert!(online.incremental_primed());
-        for round in 0..6 {
-            let (dirty_rows, dirty_cols) = mutate_round(&mut stream, round);
-            let outcome = online
-                .update_incremental(
-                    &stream,
-                    stream.head_slot(),
-                    &dirty_rows,
-                    &dirty_cols,
-                    &mut estimate,
-                )
-                .unwrap();
-            assert!(outcome.rows_resolved > 0, "round {round} resolved nothing");
-            assert!(outcome.objective.is_finite());
-            let delta = online.delta.as_ref().expect("still primed");
-            let product = delta.l.matmul_transpose_b(&delta.r).unwrap();
-            assert_eq!(
-                estimate.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                product.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "round {round}: estimate drifted from L·Rᵀ"
-            );
         }
     }
 
     #[test]
-    fn incremental_row_set_parity() {
-        // Memoization soundness on the L axis: passing only the dirty
-        // rows must leave the cached state bitwise identical to a pass
-        // that re-solves every row — clean rows are already consistent
-        // with R, so re-solving them is a no-op. (No analogous claim
-        // holds for columns: the stored R of a full solve is consistent
-        // with the pre-sweep L, so the delta pass always re-solves the
-        // affected columns.)
-        let (mut stream, mut online, mut estimate) = primed_fixture();
-        let m = stream.window_slots();
-        let mut online_all = online.clone();
-        let mut estimate_all = estimate.clone();
-        for round in 0..6 {
-            let (dirty_rows, dirty_cols) = mutate_round(&mut stream, round);
-            let all_rows: Vec<usize> = (0..m).collect();
-            let head = stream.head_slot();
-            let a = online
-                .update_incremental(&stream, head, &dirty_rows, &dirty_cols, &mut estimate)
-                .unwrap();
-            let b = online_all
-                .update_incremental(&stream, head, &all_rows, &dirty_cols, &mut estimate_all)
-                .unwrap();
-            let (da, db) = (online.delta.as_ref().unwrap(), online_all.delta.as_ref().unwrap());
-            assert_eq!(
-                da.l.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                db.l.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "round {round}: L diverged"
-            );
-            assert_eq!(
-                da.r.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                db.r.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "round {round}: R diverged"
-            );
-            assert_eq!(
-                estimate.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                estimate_all.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "round {round}: estimates diverged"
-            );
-            assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "round {round}");
-            assert!(a.rows_resolved <= b.rows_resolved);
-        }
-    }
-
-    #[test]
-    fn incremental_guards_and_error_paths() {
-        let (stream, mut online, mut estimate) = primed_fixture();
-        let head = stream.head_slot();
-        // Not primed → config error, and the estimator stays usable.
-        let mut cold = OnlineEstimator::new(cfg(), 6).unwrap();
-        assert!(cold.update_incremental(&stream, head, &[0], &[0], &mut estimate).is_err());
-        // Head moving backwards or past the window invalidates the
-        // cached state: the next solve must be a full sweep.
-        assert!(online.update_incremental(&stream, head + 6, &[0], &[0], &mut estimate).is_err());
-        assert!(!online.incremental_primed());
-        // Restoring checkpoint factors also drops the delta state.
-        let (mut stream2, mut online2, _) = primed_fixture();
-        assert!(online2.incremental_primed());
-        assert_eq!(online2.incremental_head_slot(), Some(stream2.head_slot()));
-        let saved = online2.warm_factors().unwrap().clone();
-        online2.set_warm_factors(saved).unwrap();
-        assert!(!online2.incremental_primed());
-        // As does reset().
-        let _ = mutate_round(&mut stream2, 0);
-        let result = online2.update_detailed(&stream2.snapshot()).unwrap();
-        online2
-            .prime_incremental(&stream2, stream2.head_slot(), &result.factors.0, &result.factors.1)
-            .unwrap();
-        assert!(online2.incremental_primed());
-        online2.reset();
-        assert!(!online2.incremental_primed());
+    fn warm_pass_guards_and_priming() {
+        let stream = small_stream();
+        let (m, n) = (stream.window_slots(), stream.num_segments());
+        let mut estimate = Matrix::zeros(m, n);
+        // Not primed → config error, and nothing is touched.
+        let mut online = OnlineEstimator::new(cfg(), m).unwrap();
+        assert!(!online.primed());
+        assert!(matches!(online.update_pass(&stream, &mut estimate), Err(Error::Config(_))));
+        assert_eq!(estimate, Matrix::zeros(m, n));
+        // A successful full solve primes it; a pass keeps it primed.
+        let mut estimate = online.update_detailed(&stream.snapshot()).unwrap().estimate;
+        assert!(online.primed());
+        assert!(online.update_pass(&stream, &mut estimate).unwrap().is_finite());
+        assert!(online.primed());
+        assert_eq!(online.updates(), 2);
+        // An estimate of the wrong shape is rejected and unprimes.
+        let mut wrong = Matrix::zeros(m, n + 1);
+        assert!(matches!(online.update_pass(&stream, &mut wrong), Err(Error::Config(_))));
+        assert!(!online.primed());
+        // Restoring checkpoint factors unprimes, as does reset().
+        let mut restored = OnlineEstimator::new(cfg(), m).unwrap();
+        restored.update_detailed(&stream.snapshot()).unwrap();
+        let saved = restored.warm_factors().unwrap().clone();
+        restored.set_warm_factors(saved).unwrap();
+        assert!(!restored.primed());
+        restored.update_detailed(&stream.snapshot()).unwrap();
+        restored.reset();
+        assert!(!restored.primed());
+        assert!(restored.warm_factors().is_none());
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -1038,7 +565,7 @@ mod tests {
     }
 
     /// A 16 × 2,048 window with about one cell in four observed. At rank
-    /// 8 every fan-out of a delta pass over it clears the work gate, so
+    /// 8 every fan-out of a warm pass over it clears the work gate, so
     /// with `num_threads > 1` the workers really run.
     fn wide_sparse_stream() -> probes::stream::StreamingTcm {
         let (m, n) = (16usize, 2048usize);
@@ -1055,46 +582,111 @@ mod tests {
         stream
     }
 
+    fn wide_cfg(threads: usize) -> CsConfig {
+        CsConfig {
+            rank: 8,
+            lambda: 0.1,
+            tol: 1e-4,
+            iterations: 20,
+            num_threads: threads,
+            ..CsConfig::default()
+        }
+    }
+
+    /// One warm pass done the plain sequential way with the Gram kernel:
+    /// every row against `r`, every column against the new `L`, the
+    /// objective's per-column fit partials in column order, then
+    /// `L·Rᵀ`. Returns `(new R, objective, estimate)`.
+    fn sequential_pass(
+        source: &dyn ObsSource,
+        r: &Matrix,
+        cfg: &CsConfig,
+    ) -> (Matrix, f64, Matrix) {
+        let (m, n) = source.shape();
+        let mut gram = GramScratch::new(cfg.rank);
+        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        let mut l = Matrix::zeros(m, cfg.rank);
+        for i in 0..m {
+            source.gather_row(i, &mut idx, &mut val);
+            gram.solve_ridge_rows(r, &idx, &val, cfg.lambda, l.row_mut(i)).unwrap();
+        }
+        let mut new_r = Matrix::zeros(n, cfg.rank);
+        let mut fit = Vec::with_capacity(n);
+        for j in 0..n {
+            source.gather_col(j, &mut idx, &mut val);
+            gram.solve_ridge_rows(&l, &idx, &val, cfg.lambda, new_r.row_mut(j)).unwrap();
+            let mut partial = 0.0;
+            for (&i, &v) in idx.iter().zip(&val) {
+                let pred: f64 =
+                    (0..cfg.rank).fold(0.0, |acc, k| acc + l.get(i as usize, k) * new_r.get(j, k));
+                partial += (pred - v) * (pred - v);
+            }
+            fit.push(partial);
+        }
+        let fit: f64 = fit.iter().sum();
+        let objective = fit + cfg.lambda * (l.frobenius_norm_sq() + new_r.frobenius_norm_sq());
+        let estimate = l.matmul_transpose_b(&new_r).unwrap();
+        (new_r, objective, estimate)
+    }
+
     #[test]
-    fn delta_pass_is_thread_invariant_on_a_wide_sparse_window() {
+    fn warm_pass_matches_a_sequential_reference() {
+        // Primed from a full solve, then mutated round by round (every
+        // other round slides the window): each pass must leave the warm
+        // R, the objective and the estimate bit-identical to the
+        // sequential reference run from the previous R — so the estimate
+        // is always exactly L·Rᵀ of the pass's factors — at 1, 2 and 8
+        // threads, on a small window and on one wide enough to start
+        // workers.
+        for threads in [1usize, 2, 8] {
+            let small = (small_stream(), CsConfig { num_threads: threads, ..cfg() }, 6);
+            for (mut stream, cfg, rounds) in [small, (wide_sparse_stream(), wide_cfg(threads), 4)] {
+                let mut online = OnlineEstimator::new(cfg.clone(), stream.window_slots()).unwrap();
+                let mut estimate = online.update_detailed(&stream.snapshot()).unwrap().estimate;
+                for round in 0..rounds {
+                    mutate_round(&mut stream, round);
+                    let prev_r = online.warm_factors().unwrap().clone();
+                    let (want_r, want_objective, want_estimate) =
+                        sequential_pass(&stream, &prev_r, &cfg);
+                    let objective = online.update_pass(&stream, &mut estimate).unwrap();
+                    let at = format!(
+                        "{}x{} threads={threads} round {round}",
+                        stream.window_slots(),
+                        stream.num_segments()
+                    );
+                    assert_eq!(objective.to_bits(), want_objective.to_bits(), "{at}: objective");
+                    assert!(
+                        bits(online.warm_factors().unwrap().as_slice()) == bits(want_r.as_slice()),
+                        "{at}: R diverged"
+                    );
+                    assert!(
+                        bits(estimate.as_slice()) == bits(want_estimate.as_slice()),
+                        "{at}: estimate diverged"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_pass_is_thread_invariant_on_a_wide_sparse_window() {
         // Primed from a full solve, then mutated for four rounds (two of
-        // them slide the window): L, R, the estimate, the objective and
-        // the re-solved unit count must agree bit for bit at 1, 2 and 8
-        // threads.
+        // them slide the window): R, the estimate and the objective must
+        // agree bit for bit at 1, 2 and 8 threads.
         let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
-            let cfg = CsConfig {
-                rank: 8,
-                lambda: 0.1,
-                tol: 1e-4,
-                iterations: 20,
-                num_threads: threads,
-                ..CsConfig::default()
-            };
             let mut stream = wide_sparse_stream();
-            let mut online = OnlineEstimator::new(cfg, stream.window_slots()).unwrap();
-            let result = online.update_detailed(&stream.snapshot()).unwrap();
-            let (l, r) = &result.factors;
-            online.prime_incremental(&stream, stream.head_slot(), l, r).unwrap();
-            let mut estimate = result.estimate;
+            let mut online =
+                OnlineEstimator::new(wide_cfg(threads), stream.window_slots()).unwrap();
+            let mut estimate = online.update_detailed(&stream.snapshot()).unwrap().estimate;
             let mut rounds = Vec::new();
             for round in 0..4 {
-                let (dirty_rows, dirty_cols) = mutate_round(&mut stream, round);
-                let head = stream.head_slot();
-                let outcome = online
-                    .update_incremental(&stream, head, &dirty_rows, &dirty_cols, &mut estimate)
-                    .unwrap();
-                // Propagation makes every fan-out big enough to engage.
-                assert!(outcome.rows_resolved > 100, "round {round}: {outcome:?}");
-                let delta = online.delta.as_ref().unwrap();
-                let product = delta.l.matmul_transpose_b(&delta.r).unwrap();
-                assert_eq!(bits(estimate.as_slice()), bits(product.as_slice()), "round {round}");
+                mutate_round(&mut stream, round);
+                let objective = online.update_pass(&stream, &mut estimate).unwrap();
                 rounds.push((
-                    bits(delta.l.as_slice()),
-                    bits(delta.r.as_slice()),
+                    bits(online.warm_factors().unwrap().as_slice()),
                     bits(estimate.as_slice()),
-                    outcome.objective.to_bits(),
-                    outcome.rows_resolved,
+                    objective.to_bits(),
                 ));
             }
             runs.push((threads, rounds));
@@ -1102,21 +694,19 @@ mod tests {
         let (_, reference) = &runs[0];
         for (threads, rounds) in &runs[1..] {
             for (round, (a, b)) in reference.iter().zip(rounds).enumerate() {
-                assert!(a.0 == b.0, "threads={threads} round {round}: L diverged");
-                assert!(a.1 == b.1, "threads={threads} round {round}: R diverged");
-                assert!(a.2 == b.2, "threads={threads} round {round}: estimate diverged");
-                assert_eq!(a.3, b.3, "threads={threads} round {round}: objective diverged");
-                assert_eq!(a.4, b.4, "threads={threads} round {round}: rows_resolved diverged");
+                assert!(a.0 == b.0, "threads={threads} round {round}: R diverged");
+                assert!(a.1 == b.1, "threads={threads} round {round}: estimate diverged");
+                assert_eq!(a.2, b.2, "threads={threads} round {round}: objective diverged");
             }
         }
     }
 
     #[test]
-    fn delta_pass_reports_the_smallest_failing_column_at_any_thread_count() {
+    fn warm_pass_reports_the_smallest_failing_column_at_any_thread_count() {
         // λ = 0 leaves a column with fewer observations than the rank a
-        // singular ridge system. Hand-built factors make the L step
-        // change every row, so every observed column is re-solved and
-        // several fail; the error must name the smallest of them.
+        // singular ridge system. Against hand-built factors several
+        // columns fail; the error must name the smallest of them, and
+        // the failed pass must leave R and the estimate untouched.
         let rank = 8;
         let stream = wide_sparse_stream();
         let (m, n) = (stream.window_slots(), stream.num_segments());
@@ -1140,22 +730,25 @@ mod tests {
             })
             .collect();
         assert!(failing.len() > 1, "{} columns fail at lambda 0", failing.len());
-        let all_rows: Vec<usize> = (0..m).collect();
         for threads in [1usize, 2, 8] {
             let cfg = CsConfig { rank, lambda: 0.0, num_threads: threads, ..CsConfig::default() };
             let mut online = OnlineEstimator::new(cfg, m).unwrap();
-            online.prime_incremental(&stream, stream.head_slot(), &l, &r).unwrap();
-            let mut estimate = l.matmul_transpose_b(&r).unwrap();
-            let err = online
-                .update_incremental(&stream, stream.head_slot(), &all_rows, &[], &mut estimate)
-                .unwrap_err();
+            // A full solve cannot prime at λ = 0 here, so seed the state
+            // a successful one would leave.
+            online.prev_r = Some(r.clone());
+            online.primed = true;
+            let before = l.matmul_transpose_b(&r).unwrap();
+            let mut estimate = before.clone();
+            let err = online.update_pass(&stream, &mut estimate).unwrap_err();
             match err {
                 Error::Cs(CsError::Solve { axis: SolveAxis::Column, index, .. }) => {
                     assert_eq!(index, failing[0], "threads={threads}");
                 }
                 other => panic!("threads={threads}: expected a column solve error, got {other}"),
             }
-            assert!(!online.incremental_primed(), "threads={threads}: state must be dropped");
+            assert!(!online.primed(), "threads={threads}: a failed pass must unprime");
+            assert!(bits(online.warm_factors().unwrap().as_slice()) == bits(r.as_slice()));
+            assert!(bits(estimate.as_slice()) == bits(before.as_slice()));
         }
     }
 }

@@ -193,13 +193,15 @@ pub struct ServeConfig {
     /// failure or watchdog overrun). `None` disables the dump; a dump
     /// additionally requires [`telemetry::flight::install`] to have run.
     pub flight_dump: Option<std::path::PathBuf>,
-    /// Whether primed solves take the O(delta) dirty-set path. `true`
-    /// (the default) runs a full warm sweep only to build or rebuild the
-    /// delta state — cold start, restore, cold restart, recovery after a
-    /// failed solve, a slide of a whole window — and a delta pass on
-    /// every other solve. `false` makes every solve a full warm sweep:
-    /// the reference that differential runs diff against. The solve
-    /// cache answers unchanged content either way.
+    /// Whether primed solves take the one-pass path
+    /// ([`OnlineEstimator::update_pass`]: one `L` step and one `R` step
+    /// straight off the window). `true` (the default) runs a full warm
+    /// sweep only where no warm pass can: cold start, restore, cold
+    /// restart, recovery after a failed solve, a slide of a whole
+    /// window — and a warm pass on every other solve. `false` makes
+    /// every solve a full warm sweep: the reference that differential
+    /// runs diff against. The solve cache answers unchanged content
+    /// either way.
     pub incremental: bool,
     /// Segment-range shard layout for [`ShardedService`]; a bare
     /// [`Service`] requires the single-shard plan.
@@ -338,8 +340,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Enables or disables the incremental dirty-set solve path
-    /// (`false`: every solve is a full warm sweep).
+    /// Enables or disables the one-pass solve path (`false`: every
+    /// solve is a full warm sweep).
     pub fn incremental(mut self, v: bool) -> Self {
         self.config.incremental = v;
         self
@@ -423,15 +425,15 @@ pub struct SolveStats {
     /// was reused without touching the solver.
     pub cache_hits: u64,
     /// Dirty ticks whose content hash missed the cache and went to the
-    /// solver (incremental or full).
+    /// solver (warm pass or full sweep).
     pub cache_misses: u64,
-    /// Solves serviced by the O(delta) dirty-set path.
+    /// Solves serviced by a warm pass (the one-pass path).
     pub incremental_solves: u64,
     /// Solves serviced by a full warm sweep.
     pub full_solves: u64,
-    /// Total factor units (rows + columns) re-solved by incremental
-    /// passes — the actual work the dirty-set path did, comparable
-    /// against `full_solves × (window_slots + num_segments)`.
+    /// Total factor units (rows + columns) re-solved by warm passes. A
+    /// pass re-solves every unit, `window_slots + num_segments` of
+    /// them, so this is that sum times `incremental_solves`.
     pub rows_resolved: u64,
 }
 
@@ -532,13 +534,6 @@ pub struct Service {
     /// Content key of the window at the last successful solve; a dirty
     /// tick whose current key matches is a solve-cache hit.
     last_solve_key: Option<u64>,
-    /// Cells whose content changed since the last solve — the dirty set
-    /// the incremental path re-solves.
-    dirty_bits: SlotBits,
-    /// Segment columns that lost cells to slot eviction since the last
-    /// solve (a single bitset row); they join the dirty columns of the
-    /// next delta pass.
-    evicted_bits: SlotBits,
     /// `(absolute slot, segment, sum, count)` of each cell the current
     /// drain touched, as it was before the first touch. The drain's end
     /// (or a slide) folds them into `digest`: the old state out, the
@@ -565,10 +560,46 @@ fn cell_hash(abs_slot: usize, segment: u32, sum: f64, count: f64) -> u64 {
     h.finish()
 }
 
+/// Writes checkpoint `text` to `path` so that a crash mid-write never
+/// truncates the checkpoint already there: the text goes to
+/// `<path>.tmp` next to the target, is synced to disk, and the temp file
+/// is renamed over the target. On failure the temp file is removed and
+/// the previous checkpoint is untouched.
+pub(crate) fn write_checkpoint(path: &std::path::Path, text: &str) -> Result<(), ServeError> {
+    use std::io::Write;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(text.as_bytes())?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(ServeError::Io(e));
+    }
+    // The rename is durable only once the directory entry is synced.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// The span text of a failed solve: the solver's error, or the
+/// non-finite objective of one that returned.
+fn solve_error<T>(failed: Result<T, Error>) -> String {
+    match failed {
+        Err(err) => err.to_string(),
+        Ok(_) => "non-finite objective".to_string(),
+    }
+}
+
 /// Bitset rows over the segment columns, one per ring slot (`abs_slot %
-/// window_slots`), or a single row: clearing an evicted slot's row is a
-/// `fill(0)`, and rows and columns read back in ascending order straight
-/// from the bits.
+/// window_slots`).
 #[derive(Debug)]
 struct SlotBits {
     /// `u64` words per row: `ceil(num_segments / 64)`.
@@ -594,32 +625,6 @@ impl SlotBits {
     fn remove(&mut self, ring: usize, segment: usize) {
         self.bits[ring * self.words + segment / 64] &= !(1u64 << (segment % 64));
     }
-
-    fn row(&self, ring: usize) -> &[u64] {
-        &self.bits[ring * self.words..(ring + 1) * self.words]
-    }
-
-    fn clear_row(&mut self, ring: usize) {
-        self.bits[ring * self.words..(ring + 1) * self.words].fill(0);
-    }
-
-    fn clear(&mut self) {
-        self.bits.fill(0);
-    }
-}
-
-/// Indices of the set bits of `words`, ascending.
-pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let mut rest = word;
-        std::iter::from_fn(move || {
-            (rest != 0).then(|| {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                w * 64 + bit
-            })
-        })
-    })
 }
 
 impl Service {
@@ -656,8 +661,6 @@ impl Service {
             e2e: telemetry::Histogram::default(),
             digest: 0,
             last_solve_key: None,
-            dirty_bits: SlotBits::new(m, n),
-            evicted_bits: SlotBits::new(1, n),
             touched: Vec::new(),
             touched_bits: SlotBits::new(m, n),
             solve_stats: SolveStats::default(),
@@ -888,10 +891,8 @@ impl Service {
     /// Advances the window head to `slot`. First folds the drain's
     /// touched cells, so the digest is exact; then, for each evicted
     /// slot — at most `window_slots` of them, however far the head
-    /// jumps — folds its cells out of the digest, records their columns
-    /// as dirty for the next delta pass (eviction changes those columns'
-    /// observed entries just as surely as a new report does), and clears
-    /// its dedup map and dirty row. Evicted cells are gone, not dirty.
+    /// jumps — folds its cells out of the digest and clears its dedup
+    /// map.
     fn advance_window(&mut self, slot: usize) {
         self.fold_touched();
         let m = self.config.window_slots;
@@ -903,11 +904,9 @@ impl Service {
             for (j, (&s, &c)) in sums.iter().zip(counts).enumerate() {
                 if c > 0.0 {
                     self.digest ^= cell_hash(abs_slot, j as u32, s, c);
-                    self.evicted_bits.insert(0, j);
                 }
             }
             self.seen[abs_slot % m].clear();
-            self.dirty_bits.clear_row(abs_slot % m);
         }
         self.window.advance_to_slot(slot);
     }
@@ -1104,7 +1103,6 @@ impl Service {
         self.window
             .observe(obs.timestamp_s, obs.segment, obs.speed_kmh)
             .expect("validated above: segment in range, speed finite and non-negative");
-        self.dirty_bits.insert(ring, obs.segment);
         self.stats.admitted += 1;
         report.admitted += 1;
         if telemetry::metrics_enabled() {
@@ -1132,8 +1130,6 @@ impl Service {
     /// of the watchdog. Returns whether the solve blew its budget.
     fn settle_solved(&mut self, wall: Duration) -> bool {
         self.dirty = false;
-        self.dirty_bits.clear();
-        self.evicted_bits.clear();
         self.stats.solves += 1;
         if telemetry::metrics_enabled() {
             telemetry::counter("serve.solves").incr();
@@ -1156,14 +1152,10 @@ impl Service {
     }
 
     /// Per-solve failure bookkeeping for a solver error or a non-finite
-    /// result: degraded accounting plus cache invalidation; returns the
-    /// error for the span. The window stays dirty so the next tick
-    /// retries. Poisoned warm factors (a restored checkpoint holding NaN,
-    /// say) pass the Cholesky pivot check and yield a NaN objective. Such
-    /// a result is never published, and the estimator forgets its cached
-    /// factors, so the retry starts cold instead of warm-starting from
-    /// the poison again.
-    fn settle_degraded<T>(&mut self, failed: Result<T, Error>) -> String {
+    /// result: degraded accounting plus cache invalidation. The last
+    /// good estimate keeps answering, now flagged stale, and the window
+    /// stays dirty so the next tick retries.
+    fn settle_degraded(&mut self) {
         self.stats.degraded += 1;
         if telemetry::metrics_enabled() {
             telemetry::counter("serve.degraded").incr();
@@ -1172,59 +1164,29 @@ impl Service {
         if let Some(last) = &mut self.last_good {
             last.stale = true;
         }
-        match failed {
-            Err(err) => err.to_string(),
-            Ok(_) => {
-                self.estimator.reset();
-                "non-finite objective".to_string()
-            }
-        }
     }
 
-    /// The dirty-set work plan for a delta pass — window-relative rows
-    /// and segment columns touched since the last solve — or `None` when
-    /// the full path must run: incremental solving is off, there is no
-    /// live estimate or no delta state (cold start, restore, cold
-    /// restart, recovery after a failed solve), the window may be empty,
-    /// or the head slid a whole window since priming.
+    /// Whether this solve takes the warm pass: the one-pass path is on,
+    /// the estimator is primed, a live estimate exists, the window is
+    /// not empty and the head moved fewer than `window_slots` slots
+    /// since that estimate. Otherwise — cold start, restore, cold
+    /// restart, recovery after a failed solve, a slide of a whole window
+    /// — the full warm sweep runs.
     ///
-    /// Nothing is priced. A delta pass solves each factor unit at most
-    /// once, so it costs at most one sweep plus the estimate update; the
-    /// full path costs up to `warm_sweep_cap` sweeps plus a snapshot, an
-    /// index build, `L·Rᵀ` and a re-prime. So a primed solve never gains
-    /// by taking the full path, even when propagation re-solves every
-    /// unit.
-    fn incremental_plan(&self) -> Option<(Vec<usize>, Vec<u32>)> {
-        let m = self.config.window_slots;
-        if !self.config.incremental
-            || self.last_good.is_none()
+    /// Nothing is priced. A warm pass is one sweep plus the estimate
+    /// rewrite; the full path costs up to `warm_sweep_cap` sweeps plus a
+    /// snapshot, an index build and `L·Rᵀ`. So a primed solve never
+    /// gains by taking the full path.
+    fn takes_pass(&self) -> bool {
+        self.config.incremental
+            && self.estimator.primed()
             // A zero digest means the window is (almost surely) empty;
             // the full path owns the empty-window behaviour (a counted
-            // degradation), and the delta pass must not shadow it.
-            || self.digest == 0
-        {
-            return None;
-        }
-        // `None` while the estimator holds no delta state.
-        let shift = self.window.head_slot().checked_sub(self.estimator.incremental_head_slot()?)?;
-        if shift >= m {
-            return None;
-        }
-        // Rows ascending from the tail, each read off its ring slot's
-        // bits; columns ascending from the union of those rows and the
-        // evicted columns.
-        let tail = self.window.tail_slot();
-        let mut rows = Vec::new();
-        let mut col_bits = self.evicted_bits.row(0).to_vec();
-        for row in 0..m {
-            let bits = self.dirty_bits.row((tail + row) % m);
-            if bits.iter().any(|&w| w != 0) {
-                rows.push(row);
-                col_bits.iter_mut().zip(bits).for_each(|(acc, &w)| *acc |= w);
-            }
-        }
-        let cols: Vec<u32> = set_bits(&col_bits).map(|j| j as u32).collect();
-        Some((rows, cols))
+            // degradation), and the pass must not shadow it.
+            && self.digest != 0
+            && self.last_good.as_ref().is_some_and(|last| {
+                self.window.head_slot().saturating_sub(last.head_slot) < self.config.window_slots
+            })
     }
 
     /// One watchdogged solve. Returns `(solved, degraded, wall_clock)`.
@@ -1232,9 +1194,8 @@ impl Service {
     /// Cheapest path first: a solve-cache hit (window content
     /// bit-identical to the last solved content, by [`Service::window_key`])
     /// reuses the live estimate without touching the solver; a primed
-    /// estimator takes the O(delta) incremental pass; and everything else
-    /// runs the full warm sweep, which primes the incremental state from
-    /// its factors.
+    /// estimator takes one warm pass; and everything else runs the full
+    /// warm sweep, which primes the estimator.
     fn solve(&mut self) -> (bool, bool, Duration) {
         let key = self.window_key();
         let mut span = telemetry::span(Level::Debug, "serve.solve");
@@ -1260,51 +1221,46 @@ impl Service {
         if telemetry::metrics_enabled() {
             telemetry::counter("serve.solve_cache_miss").incr();
         }
-        // Path 2: incremental dirty-set pass.
-        if let Some((rows, cols)) = self.incremental_plan() {
-            let head = self.window.head_slot();
-            let mut last = self.last_good.take().expect("plan requires a live estimate");
-            let outcome = self.estimator.update_incremental(
-                &self.window,
-                head,
-                &rows,
-                &cols,
-                &mut last.estimate,
-            );
+        // Path 2: one warm pass, rewriting the live estimate in place
+        // only when it succeeds with a finite objective.
+        if self.takes_pass() {
+            let units = (self.config.window_slots + self.config.num_segments) as u64;
+            let mut last = self.last_good.take().expect("takes_pass requires a live estimate");
+            let outcome = self.estimator.update_pass(&self.window, &mut last.estimate);
             let wall = t0.elapsed();
             match outcome {
-                Ok(inc) if inc.objective.is_finite() => {
+                Ok(objective) if objective.is_finite() => {
                     self.solve_stats.incremental_solves += 1;
-                    self.solve_stats.rows_resolved += inc.rows_resolved as u64;
+                    self.solve_stats.rows_resolved += units;
                     if telemetry::metrics_enabled() {
                         telemetry::counter("serve.incremental_solves").incr();
-                        telemetry::counter("serve.rows_resolved").add(inc.rows_resolved as u64);
+                        telemetry::counter("serve.rows_resolved").add(units);
                     }
                     let over_budget = self.settle_solved(wall);
                     if span.is_enabled() {
                         span.record("path", "incremental");
-                        span.record("rows_resolved", inc.rows_resolved as u64);
-                        span.record("objective", inc.objective);
+                        span.record("rows_resolved", units);
+                        span.record("objective", objective);
                         span.record("over_budget", if over_budget { 1u64 } else { 0 });
                     }
-                    last.head_slot = head;
+                    last.head_slot = self.window.head_slot();
                     last.solved_at_s = self.clock_s;
                     last.stale = over_budget;
                     last.sweeps = 1;
-                    last.objective = inc.objective;
+                    last.objective = objective;
                     self.last_good = Some(last);
                     self.last_solve_key = Some(key);
                     return (true, over_budget, wall);
                 }
                 failed => {
-                    // The estimator dropped its delta state, so the
-                    // retry next tick takes the full path; the partially
-                    // updated estimate is kept, explicitly stale.
+                    // The pass left the estimate and the warm R as they
+                    // were and unprimed the estimator, so the retry is a
+                    // full warm sweep from the last good R.
                     self.last_good = Some(last);
-                    let error = self.settle_degraded(failed);
+                    self.settle_degraded();
                     if span.is_enabled() {
                         span.record("path", "incremental");
-                        span.record("error", error);
+                        span.record("error", solve_error(failed));
                     }
                     return (false, true, wall);
                 }
@@ -1316,17 +1272,6 @@ impl Service {
         let wall = t0.elapsed();
         match outcome {
             Ok(result) if result.objective.is_finite() => {
-                // Prime the delta path from this solve's factors (its
-                // L rows are exactly consistent with R, the property the
-                // dirty-row skip relies on).
-                if self.config.incremental {
-                    let _ = self.estimator.prime_incremental(
-                        &self.window,
-                        self.window.head_slot(),
-                        &result.factors.0,
-                        &result.factors.1,
-                    );
-                }
                 self.solve_stats.full_solves += 1;
                 let over_budget = self.settle_solved(wall);
                 if span.is_enabled() {
@@ -1348,12 +1293,18 @@ impl Service {
             }
             failed => {
                 // Degrade: keep answering from the last good estimate,
-                // now explicitly stale. The window stays dirty so the
-                // next tick retries.
-                let error = self.settle_degraded(failed);
+                // now explicitly stale. Poisoned warm factors (a restored
+                // checkpoint holding NaN, say) pass the Cholesky pivot
+                // check and yield a NaN objective; the estimator forgets
+                // them, so the retry starts cold instead of warm-starting
+                // from the poison again.
+                if failed.is_ok() {
+                    self.estimator.reset();
+                }
+                self.settle_degraded();
                 if span.is_enabled() {
                     span.record("path", "full");
-                    span.record("error", error);
+                    span.record("error", solve_error(failed));
                 }
                 (false, true, wall)
             }
@@ -1491,14 +1442,15 @@ impl Service {
         Ok(())
     }
 
-    /// Writes [`Service::checkpoint`] to a file.
+    /// Writes [`Service::checkpoint`] to a file, crash-safely: the text
+    /// goes to `<path>.tmp`, is synced, and is renamed over `path`, so a
+    /// crash mid-write leaves the previous checkpoint intact.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] on filesystem failure.
     pub fn save_checkpoint(&self, path: &std::path::Path) -> Result<(), Error> {
-        std::fs::write(path, self.checkpoint()).map_err(ServeError::Io)?;
-        Ok(())
+        Ok(write_checkpoint(path, &self.checkpoint())?)
     }
 
     /// Reads and applies a checkpoint file written by
@@ -1517,7 +1469,6 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     fn small_cfg() -> ServeConfig {
         ServeConfig::builder()
@@ -1727,14 +1678,6 @@ mod tests {
         digest
     }
 
-    /// The dirty bits as `(absolute slot, segment)` cells.
-    fn dirty_set(s: &Service) -> BTreeSet<(usize, usize)> {
-        let (m, tail) = (s.config.window_slots, s.window.tail_slot());
-        (tail..tail + m)
-            .flat_map(|slot| set_bits(s.dirty_bits.row(slot % m)).map(move |j| (slot, j)))
-            .collect()
-    }
-
     /// What the admission rules must have done, tracked by plain clock
     /// arithmetic next to the service (grid start 0, 60 s slots).
     struct Model {
@@ -1742,28 +1685,11 @@ mod tests {
         n: usize,
         head: usize,
         admitted: u64,
-        /// Cells holding at least one observation (a duplicate retracts
-        /// and re-observes, so an admitted cell never empties).
-        occupied: BTreeSet<(usize, usize)>,
-        /// Cells admitted since the last successful solve.
-        dirty: BTreeSet<(usize, usize)>,
-        /// Columns that lost cells to eviction since that solve.
-        evicted_columns: BTreeSet<usize>,
     }
 
     impl Model {
         fn slide(&mut self, slot: usize) {
-            if slot <= self.head {
-                return;
-            }
-            self.head = slot;
-            let tail = (slot + 1).saturating_sub(self.m);
-            let gone: Vec<_> = self.occupied.iter().copied().filter(|&(s, _)| s < tail).collect();
-            for cell in gone {
-                self.occupied.remove(&cell);
-                self.dirty.remove(&cell);
-                self.evicted_columns.insert(cell.1);
-            }
+            self.head = self.head.max(slot);
         }
 
         fn offer(&mut self, o: &Observation) {
@@ -1775,14 +1701,7 @@ mod tests {
                 return; // late
             }
             self.slide(slot);
-            self.occupied.insert((slot, o.segment));
-            self.dirty.insert((slot, o.segment));
             self.admitted += 1;
-        }
-
-        fn solved(&mut self) {
-            self.dirty.clear();
-            self.evicted_columns.clear();
         }
     }
 
@@ -1792,9 +1711,6 @@ mod tests {
         assert!(s.touched_bits.bits.iter().all(|&w| w == 0), "{at}: stale touched bits");
         assert_eq!(s.window.head_slot(), model.head, "{at}: head slot");
         assert_eq!(s.stats.admitted, model.admitted, "{at}: admitted");
-        assert_eq!(dirty_set(s), model.dirty, "{at}: dirty bits");
-        let evicted: BTreeSet<usize> = set_bits(s.evicted_bits.row(0)).collect();
-        assert_eq!(evicted, model.evicted_columns, "{at}: evicted columns");
     }
 
     /// One offered report: mostly in-window traffic on a few vehicles
@@ -1819,11 +1735,10 @@ mod tests {
     }
 
     #[test]
-    fn digest_and_dirty_bits_match_a_from_scratch_audit() {
-        // 70 segments span two bitset words. Rank 2 solves (incremental
-        // and full paths alternate); rank 5 > window_slots fails every
-        // solve, so the dirty set accumulates across ticks and only
-        // eviction trims it.
+    fn digest_matches_a_from_scratch_audit() {
+        // 70 segments span two bitset words. Rank 2 solves (warm passes
+        // and full sweeps alternate); rank 5 > window_slots fails every
+        // solve, so the window stays dirty across ticks.
         for (rank, seed) in [(2, 1u64), (2, 2), (5, 3)] {
             let cfg = ServeConfig {
                 window_slots: 4,
@@ -1833,15 +1748,7 @@ mod tests {
             };
             let (m, n) = (cfg.window_slots, cfg.num_segments);
             let mut s = Service::new(cfg).unwrap();
-            let mut model = Model {
-                m,
-                n,
-                head: m - 1,
-                admitted: 0,
-                occupied: BTreeSet::new(),
-                dirty: BTreeSet::new(),
-                evicted_columns: BTreeSet::new(),
-            };
+            let mut model = Model { m, n, head: m - 1, admitted: 0 };
             let mut rng = SplitMix(seed);
             for tick in 0..300 {
                 let at = format!("rank {rank} seed {seed} tick {tick}");
@@ -1850,28 +1757,15 @@ mod tests {
                     s.push(o);
                     model.offer(&o);
                 }
-                // Drain and audit before the solve, while the dirty set
-                // is live, then let the tick solve it.
+                // Drain and audit before the solve, then let the tick
+                // solve.
                 let mut drained = TickReport::default();
                 s.drain(&mut drained);
                 audit(&s, &model, &format!("{at} drained"));
-                if let Some((rows, cols)) = s.incremental_plan() {
-                    let tail = s.window.tail_slot();
-                    let want_rows: BTreeSet<usize> =
-                        model.dirty.iter().map(|&(slot, _)| slot - tail).collect();
-                    let want_cols: BTreeSet<u32> = model
-                        .dirty
-                        .iter()
-                        .map(|&(_, j)| j)
-                        .chain(model.evicted_columns.iter().copied())
-                        .map(|j| j as u32)
-                        .collect();
-                    assert_eq!(rows, want_rows.into_iter().collect::<Vec<_>>(), "{at}: plan rows");
-                    assert_eq!(cols, want_cols.into_iter().collect::<Vec<_>>(), "{at}: plan cols");
-                }
-                let report = if rng.below(10) == 0 { s.refresh() } else { s.tick() };
-                if report.solved {
-                    model.solved();
+                if rng.below(10) == 0 {
+                    s.refresh();
+                } else {
+                    s.tick();
                 }
                 audit(&s, &model, &format!("{at} ticked"));
                 if rng.below(8) == 0 {

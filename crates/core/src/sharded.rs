@@ -562,15 +562,14 @@ impl ShardedService {
         Ok(())
     }
 
-    /// Writes [`ShardedService::checkpoint`] to `path` atomically
-    /// enough for a daemon (write then rename is overkill here; the
-    /// checkpoint is advisory warm-start state).
+    /// Writes [`ShardedService::checkpoint`] to `path`, crash-safely
+    /// (see [`Service::save_checkpoint`]).
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] wrapped in [`enum@Error`].
     pub fn save_checkpoint(&self, path: &std::path::Path) -> Result<(), Error> {
-        std::fs::write(path, self.checkpoint()).map_err(|e| Error::Serve(ServeError::Io(e)))
+        Ok(crate::service::write_checkpoint(path, &self.checkpoint())?)
     }
 
     /// Reads and restores a checkpoint file.

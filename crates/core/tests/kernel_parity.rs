@@ -182,91 +182,6 @@ fn threaded_kernel_path_equals_prerefactor_estimate_bitwise() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Row-set parity of the incremental delta pass, swept over random
-    /// streams and dirty sets: a pass given only the actually-dirty rows
-    /// must leave bitwise the same factors, estimate, and objective as a
-    /// pass told every row is dirty — clean `L` rows are already exactly
-    /// consistent with `R`, so skipping their re-solve is sound. This is
-    /// the memoization theorem the service's O(delta) path rests on.
-    #[test]
-    fn incremental_row_set_parity_over_random_streams(
-        seed in 0u64..500,
-        rounds in 1usize..5,
-    ) {
-        use probes::stream::StreamingTcm;
-        use rand::RngExt;
-        use traffic_cs::online::OnlineEstimator;
-
-        let (m, n) = (6usize, 9usize);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut stream = StreamingTcm::new(0, 60, m, n).unwrap();
-        for slot in 0..m {
-            for _ in 0..8 {
-                let seg = rng.random_range(0..n);
-                let speed = 20.0 + rng.random_range(0.0..20.0);
-                stream.observe(slot as u64 * 60 + rng.random_range(0..60u64), seg, speed).unwrap();
-            }
-        }
-        let cs = CsConfig { rank: 2, lambda: 0.2, iterations: 30, ..CsConfig::default() };
-        let mut online = OnlineEstimator::new(cs, m).unwrap();
-        let full = online.update_detailed(&stream.snapshot()).unwrap();
-        online
-            .prime_incremental(&stream, stream.head_slot(), &full.factors.0, &full.factors.1)
-            .unwrap();
-        let mut online_all = online.clone();
-        let mut est = full.estimate.clone();
-        let mut est_all = full.estimate;
-
-        for round in 0..rounds {
-            // Random mutation batch; every other round also slides the
-            // window by one slot (evicting the tail row's columns).
-            let mut dirty_rows = Vec::new();
-            let mut dirty_cols: Vec<u32> = Vec::new();
-            if round % 2 == 1 {
-                let (_, counts) = stream.row_raw(0);
-                dirty_cols.extend(
-                    counts.iter().enumerate().filter(|(_, &c)| c > 0.0).map(|(j, _)| j as u32),
-                );
-                let seg = rng.random_range(0..n);
-                let head = stream.head_slot();
-                stream.observe((head + 1) as u64 * 60, seg, 33.0).unwrap();
-                dirty_rows.push(m - 1);
-                dirty_cols.push(seg as u32);
-            }
-            for _ in 0..rng.random_range(1..4usize) {
-                let row = rng.random_range(0..m - 1);
-                let seg = rng.random_range(0..n);
-                let ts = (stream.tail_slot() + row) as u64 * 60 + 30;
-                stream.observe(ts, seg, 20.0 + rng.random_range(0.0..20.0)).unwrap();
-                dirty_rows.push(row);
-                dirty_cols.push(seg as u32);
-            }
-            dirty_rows.sort_unstable();
-            dirty_rows.dedup();
-            dirty_cols.sort_unstable();
-            dirty_cols.dedup();
-            let all_rows: Vec<usize> = (0..m).collect();
-            let head = stream.head_slot();
-            let a = online
-                .update_incremental(&stream, head, &dirty_rows, &dirty_cols, &mut est)
-                .unwrap();
-            let b = online_all
-                .update_incremental(&stream, head, &all_rows, &dirty_cols, &mut est_all)
-                .unwrap();
-            prop_assert_eq!(
-                est.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                est_all.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "seed={} round={}: estimates diverged", seed, round
-            );
-            prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-            prop_assert!(a.rows_resolved <= b.rows_resolved);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Golden-bit vectors for the fixed-rank kernels.
 //

@@ -5,7 +5,8 @@
 use probes::tcm::TcmBuilder;
 use traffic_cs::cs::{complete_matrix_detailed, CsConfig};
 use traffic_cs::service::{Backpressure, Observation, ServeConfig, Service};
-use traffic_cs::Error;
+use traffic_cs::sharded::{ShardPlan, ShardedService};
+use traffic_cs::{Error, ServeError};
 
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
@@ -407,6 +408,52 @@ fn checkpoint_file_round_trip_and_io_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Saves a checkpoint into an empty `dir` twice: once with a directory
+/// squatting on the temp file's name, which must fail as I/O and leave
+/// the previous file byte for byte, then normally, which must leave no
+/// temp file behind.
+fn check_crash_safe_save(
+    dir: &std::path::Path,
+    save: impl Fn(&std::path::Path) -> Result<(), Error>,
+) {
+    let path = dir.join("serve.ckpt");
+    std::fs::write(&path, "previous checkpoint\n").unwrap();
+    let tmp = dir.join("serve.ckpt.tmp");
+    std::fs::create_dir(&tmp).unwrap();
+    let err = save(&path).unwrap_err();
+    assert!(matches!(err, Error::Serve(ServeError::Io(_))), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), b"previous checkpoint\n");
+    std::fs::remove_dir(&tmp).unwrap();
+    save(&path).unwrap();
+    let names: Vec<_> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(names, ["serve.ckpt"], "a temp file was left behind");
+    assert!(std::fs::read_to_string(&path).unwrap().starts_with("cs-serve-"));
+}
+
+#[test]
+fn checkpoint_saves_never_truncate_the_previous_file() {
+    // A save writes a temp file next to the target, syncs it and renames
+    // it over the target; both engines share the writer.
+    let root = std::env::temp_dir().join(format!("cs-serve-ckpt-crash-{}", std::process::id()));
+    let mut single = Service::new(serve_cfg(4, 1)).unwrap();
+    let sharded_cfg = ServeConfig { shards: ShardPlan::with_count(2), ..serve_cfg(4, 1) };
+    let mut sharded = ShardedService::new(sharded_cfg).unwrap();
+    for &o in &synth_observations(6) {
+        single.push(o);
+        sharded.push(o);
+    }
+    single.tick();
+    sharded.tick();
+    let dir = |engine: &str| {
+        let dir = root.join(engine);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    };
+    check_crash_safe_save(&dir("single"), |path| single.save_checkpoint(path));
+    check_crash_safe_save(&dir("sharded"), |path| sharded.save_checkpoint(path));
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn queue_backpressure_under_burst_load() {
     let cfg = ServeConfig {
@@ -701,19 +748,20 @@ fn estimate_matches_window_average_where_fully_observed() {
 #[test]
 fn incremental_path_is_used_and_thread_invariant() {
     // Once the cold start primes the estimator, every solve of a
-    // small-chunk replay is an O(delta) dirty-set pass — window slides
-    // included — and, like every other solve path, it produces
-    // bit-identical estimates at any thread count. This window is below
-    // the work gate, so the delta pass runs inline here; the online unit
-    // tests pin its parity on a window big enough to start workers.
+    // small-chunk replay is one warm pass — window slides included —
+    // and, like every other solve path, it produces bit-identical
+    // estimates at any thread count. This window is below the work gate,
+    // so the pass runs inline here; the online unit tests pin its parity
+    // on a window big enough to start workers.
     let observations = synth_observations(24);
     let mut baseline: Option<Vec<u64>> = None;
     for threads in [1usize, 2, 8] {
         let service = replay(serve_cfg(12, threads), &observations, 3);
         let st = service.solve_stats();
-        assert!(st.incremental_solves > 0, "threads={threads}: delta path never engaged {st:?}");
+        assert!(st.incremental_solves > 0, "threads={threads}: warm pass never engaged {st:?}");
         assert_eq!(st.full_solves, 1, "threads={threads}: only the cold start sweeps {st:?}");
-        assert!(st.rows_resolved > 0);
+        // A pass re-solves every unit: 12 slots plus the segments.
+        assert_eq!(st.rows_resolved, st.incremental_solves * (12 + SEGMENTS) as u64, "{st:?}");
         let live = service.latest().expect("replay produced an estimate");
         let bits: Vec<u64> = live.estimate.as_slice().iter().map(|v| v.to_bits()).collect();
         match &baseline {
@@ -805,6 +853,61 @@ fn solve_modes_agree_after_cold_restart_correction() {
     );
 }
 
+#[test]
+fn failed_or_non_finite_warm_pass_leaves_the_stale_estimate_untouched() {
+    // λ = 0, so a unit with fewer observations than the rank is a
+    // singular ridge system. Every cell of the first four slots is
+    // observed, so the cold full solve succeeds and primes the warm pass.
+    let cfg = ServeConfig::builder()
+        .slot_len_s(SLOT_LEN)
+        .window_slots(4)
+        .num_segments(6)
+        .cs(CsConfig { rank: 2, lambda: 0.0, num_threads: 1, ..CsConfig::default() })
+        .build()
+        .unwrap();
+    let warm = || {
+        let mut s = Service::new(cfg.clone()).unwrap();
+        for slot in 0..4u64 {
+            for seg in 0..6usize {
+                s.push(Observation {
+                    vehicle: seg as u64,
+                    timestamp_s: slot * SLOT_LEN,
+                    segment: seg,
+                    speed_kmh: 30.0 + (slot * 6 + seg as u64) as f64,
+                });
+            }
+        }
+        let report = s.tick();
+        assert!(report.solved && !report.degraded, "{report:?}");
+        s
+    };
+    let served = |s: &Service| {
+        let live = s.latest().unwrap();
+        (live.head_slot, live.estimate.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+    };
+    // (a) One report a slot past the head slides the window; the new
+    // row holds one observation, so the pass's L step fails.
+    let mut s = warm();
+    let before = served(&s);
+    s.push(Observation { vehicle: 9, timestamp_s: 4 * SLOT_LEN, segment: 2, speed_kmh: 41.0 });
+    let report = s.tick();
+    assert!(!report.solved && report.degraded, "{report:?}");
+    assert!(s.latest().unwrap().stale);
+    assert_eq!(served(&s), before, "a failed pass moved or rewrote the stale estimate");
+    // (b) Two 1e308 km/h reports on one cell: each passes admission,
+    // but their sum overflows, and the pass's objective is not finite.
+    let mut s = warm();
+    let before = served(&s);
+    for vehicle in [7, 8] {
+        s.push(Observation { vehicle, timestamp_s: 3 * SLOT_LEN, segment: 4, speed_kmh: 1e308 });
+    }
+    let report = s.tick();
+    assert_eq!(report.admitted, 2);
+    assert!(!report.solved && report.degraded, "{report:?}");
+    assert!(s.latest().unwrap().stale);
+    assert_eq!(served(&s), before, "a non-finite pass rewrote the stale estimate");
+}
+
 /// SplitMix64 step: the long-horizon stream's only randomness.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -821,7 +924,7 @@ fn unit(key: u64) -> f64 {
 #[test]
 fn delta_passes_do_not_drift_over_two_simulated_days() {
     // Without a periodic correction sweep, every solve after the cold
-    // start is a delta pass. Over 48 simulated hours of a seeded rank-3
+    // start is one warm pass. Over 48 simulated hours of a seeded rank-3
     // daily pattern at ~20% coverage, its error on never-observed cells
     // must track a full-sweep-every-solve reference day by day, and the
     // gap must not grow.

@@ -356,9 +356,8 @@ impl GramScratch {
 
     /// Solves one ridge unit whose design rows are the rows of `design`
     /// named by `indices` with targets `values`: the per-unit step of an
-    /// ALS factor solve, shared by the full sweep and the incremental
-    /// dirty-unit path so the two produce bit-identical rows by
-    /// construction. An empty unit (no observations) is driven to zero
+    /// ALS factor solve, shared by the full sweep and the serve path's
+    /// warm pass so the two produce bit-identical rows by construction. An empty unit (no observations) is driven to zero
     /// by the regularizer, so `out` is filled with `0.0` directly.
     ///
     /// # Errors
