@@ -26,20 +26,32 @@
 //! With `CS_BENCH_ENFORCE` set the process exits 70 when the fixed-rank
 //! kernel is slower than the scalar reference, so CI catches a
 //! specialization regression as a red leg instead of a silent number.
+//!
+//! A `warm_pass` section times the serve path's per-tick solve: one
+//! `OnlineEstimator::update_pass` on a 16 × 8,192 rank-8 window at ~25%
+//! integrity (the shape of servebench's `metro-sparse`; `CS_BENCH_QUICK`
+//! shrinks it to 16 × 1,024), under the `scalar` override (one unit at
+//! a time) and under `fixed8` (four-lane batches), split into its `L`
+//! step, `R` step and `L·Rᵀ` rewrite from the pass's `online.pass`
+//! span. `CS_BENCH_ENFORCE` also fails the run when `fixed8`'s pass is
+//! slower than `scalar`'s.
 
 use criterion::{black_box, Criterion};
 use linalg::kernel::{set_kernel_override, KernelVariant};
 use linalg::lstsq::{solve_normal_equations, GramScratch};
 use linalg::Matrix;
 use probes::mask::random_mask;
+use probes::stream::StreamingTcm;
 use probes::Tcm;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use telemetry::json::Json;
 use traffic_cs::cs::{complete_matrix, CsConfig};
+use traffic_cs::online::OnlineEstimator;
 
 struct CountingAllocator;
 
@@ -214,6 +226,142 @@ fn measure_variant(tcm: &Tcm, cfg: &CsConfig, variant: KernelVariant) -> (f64, u
     out
 }
 
+/// The warm-pass workload: a 16-slot window at ~25% integrity (a
+/// multiplicative hash picks the cells) over 8,192 segments, or 1,024
+/// with `quick`, and a rank-8 configuration that primes on it.
+fn warm_pass_problem(quick: bool) -> (StreamingTcm, CsConfig) {
+    let (slots, segments) = (16usize, if quick { 1_024 } else { 8_192 });
+    let mut stream = StreamingTcm::new(0, 60, slots, segments).expect("non-empty window");
+    for slot in 0..slots {
+        for seg in 0..segments {
+            if ((slot * segments + seg).wrapping_mul(2_654_435_761) >> 7) % 4 == 0 {
+                let speed = 40.0 + (seg % 13) as f64 + ((slot % 6) * (1 + seg % 5)) as f64 / 2.0;
+                stream.observe((slot * 60 + seg % 60) as u64, seg, speed).expect("valid report");
+            }
+        }
+    }
+    let cfg = CsConfig {
+        rank: 8,
+        lambda: 0.1,
+        iterations: 10,
+        tol: 0.0,
+        num_threads: 1,
+        ..CsConfig::default()
+    };
+    (stream, cfg)
+}
+
+/// One kernel variant's warm pass: median wall clock per pass, the
+/// medians of the pass's stage split, and allocations per pass.
+struct PassTiming {
+    pass_ms: f64,
+    l_step_ms: f64,
+    r_step_ms: f64,
+    rewrite_ms: f64,
+    allocations_per_pass: f64,
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Times `passes` warm passes from the same primed state with the
+/// kernel pinned to `variant`: first with telemetry off (wall clock and
+/// allocations), then again at `Debug` level to read each pass's
+/// `online.pass` stage split.
+fn measure_warm_pass(
+    stream: &StreamingTcm,
+    primed: &OnlineEstimator,
+    estimate: &Matrix,
+    variant: KernelVariant,
+    passes: usize,
+) -> PassTiming {
+    set_kernel_override(Some(variant));
+    let (mut online, mut est) = (primed.clone(), estimate.clone());
+    online.update_pass(stream, &mut est).expect("warm pass");
+    let mut times = Vec::with_capacity(passes);
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..passes {
+        let start = Instant::now();
+        black_box(online.update_pass(stream, &mut est).expect("warm pass"));
+        times.push(start.elapsed().as_secs_f64() * 1e3);
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+
+    let sink = Arc::new(telemetry::CaptureSink::new());
+    telemetry::add_sink(sink.clone());
+    telemetry::set_level(telemetry::Level::Debug);
+    for _ in 0..passes {
+        online.update_pass(stream, &mut est).expect("warm pass");
+    }
+    telemetry::set_level(telemetry::Level::Off);
+    telemetry::clear_sinks();
+    set_kernel_override(None);
+    let records: Vec<_> = sink.records().into_iter().filter(|r| r.name == "online.pass").collect();
+    let stage = |key: &str| {
+        median(
+            records
+                .iter()
+                .map(|r| match r.field(key) {
+                    Some(telemetry::Value::Float(ms)) => *ms,
+                    other => panic!("online.pass lacks a numeric {key}: {other:?}"),
+                })
+                .collect(),
+        )
+    };
+    PassTiming {
+        pass_ms: median(times),
+        l_step_ms: stage("l_step_ms"),
+        r_step_ms: stage("r_step_ms"),
+        rewrite_ms: stage("rewrite_ms"),
+        allocations_per_pass: allocations as f64 / passes as f64,
+    }
+}
+
+/// The `warm_pass` section: `scalar` always, `fixed8` when the kernel
+/// feature is on. Returns the JSON object and the per-variant timings.
+fn warm_pass_section(quick: bool, feature_on: bool) -> (Json, Vec<(KernelVariant, PassTiming)>) {
+    let (stream, cfg) = warm_pass_problem(quick);
+    let (m, n) = (stream.window_slots(), stream.num_segments());
+    let passes = if quick { 10 } else { 30 };
+    let mut primed = OnlineEstimator::new(cfg.clone(), m).expect("valid config");
+    let estimate = primed.update_detailed(&stream.snapshot()).expect("cold solve").estimate;
+    let variants: &[KernelVariant] = if feature_on {
+        &[KernelVariant::Scalar, KernelVariant::Fixed8]
+    } else {
+        &[KernelVariant::Scalar]
+    };
+    let timings: Vec<(KernelVariant, PassTiming)> = variants
+        .iter()
+        .map(|&v| (v, measure_warm_pass(&stream, &primed, &estimate, v, passes)))
+        .collect();
+    let mut fields = vec![
+        ("slots".into(), Json::Num(m as f64)),
+        ("segments".into(), Json::Num(n as f64)),
+        ("rank".into(), Json::Num(cfg.rank as f64)),
+        ("integrity".into(), Json::Num(stream.observed_cells() as f64 / (m * n) as f64)),
+        ("threads".into(), Json::Num(1.0)),
+        ("passes".into(), Json::Num(passes as f64)),
+    ];
+    for (v, t) in &timings {
+        fields.push((
+            v.name().into(),
+            Json::Obj(vec![
+                ("pass_ms".into(), Json::Num(t.pass_ms)),
+                ("l_step_ms".into(), Json::Num(t.l_step_ms)),
+                ("r_step_ms".into(), Json::Num(t.r_step_ms)),
+                ("rewrite_ms".into(), Json::Num(t.rewrite_ms)),
+                ("allocations_per_pass".into(), Json::Num(t.allocations_per_pass)),
+            ]),
+        ));
+    }
+    if let [(_, scalar), (_, fixed)] = timings.as_slice() {
+        fields.push(("fixed8_vs_scalar_speedup".into(), Json::Num(scalar.pass_ms / fixed.pass_ms)));
+    }
+    (Json::Obj(fields), timings)
+}
+
 /// JSON object for one measured run.
 fn run_json(secs: f64, allocs: usize, sweeps: usize) -> Json {
     Json::Obj(vec![
@@ -236,6 +384,7 @@ fn append_als_trajectory(
     sweeps: usize,
     kernels: &[(KernelVariant, f64, usize)],
     baseline_secs: f64,
+    warm_pass: &[(KernelVariant, PassTiming)],
 ) -> std::io::Result<()> {
     let recorded_unix_s = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -257,6 +406,9 @@ fn append_als_trajectory(
             Json::Num(secs * 1e3 / sweeps as f64),
         ));
     }
+    for (variant, timing) in warm_pass {
+        fields.push((format!("warm_pass_{}_ms", variant.name()), Json::Num(timing.pass_ms)));
+    }
     std::fs::create_dir_all(dir)?;
     let path = dir.join("BENCH_als_trajectory.jsonl");
     let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
@@ -273,7 +425,8 @@ fn append_als_trajectory(
 /// pressure the kernel path removes.
 ///
 /// Returns `false` when `CS_BENCH_ENFORCE` is set and the fixed-rank
-/// kernel came out slower than the scalar reference.
+/// kernel came out slower than the scalar reference, per sweep or per
+/// warm pass.
 fn write_bench_json() -> bool {
     let (tcm, cfg, quick) = bench_problem();
     let (m, n) = tcm.values().shape();
@@ -339,6 +492,8 @@ fn write_bench_json() -> bool {
         fields.push(("fixed_variant".into(), Json::Str(fv.name().into())));
         fields.push(("fixed_vs_scalar_speedup".into(), Json::Num(scalar_secs / fsecs)));
     }
+    let (warm_json, warm_pass) = warm_pass_section(quick, feature_on);
+    fields.push(("warm_pass".into(), warm_json));
     let json = Json::Obj(fields).encode() + "\n";
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
@@ -346,7 +501,7 @@ fn write_bench_json() -> bool {
         std::fs::create_dir_all(&dir)?;
         let path = dir.join("BENCH_als.json");
         std::fs::File::create(&path)?.write_all(json.as_bytes())?;
-        append_als_trajectory(&dir, quick, cfg.rank, sweeps, &kernels, base_secs)?;
+        append_als_trajectory(&dir, quick, cfg.rank, sweeps, &kernels, base_secs, &warm_pass)?;
         Ok(path)
     };
     match write() {
@@ -365,13 +520,27 @@ fn write_bench_json() -> bool {
                     per_sweep(*secs),
                 );
             }
+            for (v, t) in &warm_pass {
+                println!(
+                    "als_kernel: warm pass {:>6} {:.3} ms (L step {:.3}, R step {:.3}, \
+                     L·Rᵀ {:.3}; {} allocations)",
+                    v.name(),
+                    t.pass_ms,
+                    t.l_step_ms,
+                    t.r_step_ms,
+                    t.rewrite_ms,
+                    t.allocations_per_pass,
+                );
+            }
         }
         Err(e) => eprintln!("warning: could not write BENCH_als.json: {e}"),
     }
 
     // The perf gate: a fixed-rank kernel slower than the scalar
-    // reference means the specialization regressed. Opt-in via
-    // CS_BENCH_ENFORCE so local exploratory runs never exit non-zero.
+    // reference means the specialization regressed — in the sweep, or
+    // in the warm pass's four-lane batches. Opt-in via CS_BENCH_ENFORCE
+    // so local exploratory runs never exit non-zero.
+    let mut ok = true;
     if std::env::var_os("CS_BENCH_ENFORCE").is_some() {
         if let Some((fv, fsecs, _)) = fixed {
             if *fsecs > scalar_secs {
@@ -382,11 +551,23 @@ fn write_bench_json() -> bool {
                     per_sweep(*fsecs),
                     per_sweep(scalar_secs),
                 );
-                return false;
+                ok = false;
+            }
+        }
+        if let [(_, scalar), (fv, fixed)] = warm_pass.as_slice() {
+            if fixed.pass_ms > scalar.pass_ms {
+                eprintln!(
+                    "als_kernel: ENFORCE failure — {} warm pass {:.3} ms is slower than \
+                     scalar {:.3} ms",
+                    fv.name(),
+                    fixed.pass_ms,
+                    scalar.pass_ms,
+                );
+                ok = false;
             }
         }
     }
-    true
+    ok
 }
 
 fn main() {

@@ -19,7 +19,7 @@
 //! [`Service`]: traffic_cs::Service
 
 use std::collections::{HashMap, VecDeque};
-use traffic_cs::service::{Backpressure, Observation, ServeStats};
+use traffic_cs::service::{Backpressure, Observation, ServeStats, MAX_SPEED_KMH};
 
 /// Independent model of one `Service`'s observable state.
 #[derive(Debug, Clone)]
@@ -128,7 +128,7 @@ impl Mirror {
 
     /// Mirrors `Service::admit` rule for rule, in the same order.
     fn admit(&mut self, obs: Observation) {
-        if !obs.speed_kmh.is_finite() || obs.speed_kmh < 0.0 || obs.segment >= self.num_segments {
+        if !(0.0..=MAX_SPEED_KMH).contains(&obs.speed_kmh) || obs.segment >= self.num_segments {
             self.stats.rejected += 1;
             return;
         }
@@ -273,6 +273,8 @@ mod tests {
         let stream = [
             obs(1, 610, 0, 30.0),          // admitted, slot 0
             obs(2, 610, 0, f64::NAN),      // rejected
+            obs(6, 611, 1, 1e6),           // rejected: above the speed ceiling
+            obs(6, 612, 1, MAX_SPEED_KMH), // admitted: at the ceiling
             obs(3, 5, 1, 40.0),            // pre-grid late
             obs(1, 610, 0, 35.0),          // duplicate, last write wins
             obs(4, 600 + 7 * 60, 2, 50.0), // admitted, advances head

@@ -24,7 +24,8 @@
 
 use crate::error::ConfigError;
 use crate::obs::{ObsIndex, ObsSource};
-use linalg::lstsq::{solve_qr, GramScratch, RidgeSolver};
+use linalg::kernel::LANES;
+use linalg::lstsq::{solve_qr, GramScratch, RidgeSolver, SolveError};
 use linalg::Matrix;
 use probes::Tcm;
 use rand::SeedableRng;
@@ -548,10 +549,10 @@ pub(crate) fn dot(l_row: &[f64], r_row: &[f64]) -> f64 {
     acc
 }
 
-/// Per-worker buffers of a unit fan-out: one unit's gathered
+/// Per-worker buffers of a unit fan-out: room for `len` gathered
 /// observations.
 fn gather_buffers(len: usize) -> (Vec<u32>, Vec<f64>) {
-    (Vec::with_capacity(len), Vec::with_capacity(len))
+    (vec![0; len], vec![0.0; len])
 }
 
 /// `Σ (design_i · row − v)²` over one unit's gathered entries, in their
@@ -568,26 +569,33 @@ fn unit_fit(design: &Matrix, row: &[f64], indices: &[u32], values: &[f64]) -> f6
 /// Solves one half of the alternation: given the fixed factor `design`
 /// (rows indexed by the *other* dimension), fills `out` (units × r)
 /// with the ridge solution of every unit on `axis` — rows of `source`
-/// for the `L` step, columns for the `R` step. The full sweep and the
-/// warm pass of [`crate::online`] both run this, so a unit solved by
-/// either carries the same bits. With `fit`, each unit's fit under its
-/// new row is scored into `fit[unit]` while its observations are still
-/// gathered — the warm pass's `R` step scores its objective this way.
+/// for the `L` step, columns for the `R` step. The full sweep, the cold
+/// solve and the warm pass of [`crate::online`] all run this, so a unit
+/// solved by any of them carries the same bits. With `fit`, each unit's
+/// fit under its new row is scored into `fit[unit]` while its
+/// observations are still gathered — the warm pass's `R` step scores
+/// its objective this way.
 ///
-/// Each unit's ridge problem is independent, so the rows of `out` fan
-/// out over [`for_each_unit`]: every worker gathers its claimed unit
-/// into its own buffers and writes only that unit's row, and a failed
-/// solve surfaces as the error of the smallest failing unit — both
-/// schedule-independent, keeping the output identical across thread
-/// counts.
+/// Units are solved [`LANES`] consecutive units at a time. A worker
+/// gathers each unit of a group in turn and accumulates its normal
+/// equations into one lane of its [`GramScratch`]
+/// ([`GramScratch::accumulate_lane`]), then solves the group's systems
+/// together ([`GramScratch::solve_lanes`]): at the fixed ranks the four
+/// Cholesky factorizations run side by side, lane for lane the one-unit
+/// kernel's exact op sequence, so every row, every pivot failure and
+/// every error index is what solving the units one by one gives. A lane
+/// keeps only its `r × r` system, so without `fit` the group's gathers
+/// share one buffer the length of a row; with `fit` (the `R` step,
+/// whose units are short columns) the four gathers sit side by side
+/// until their fits are scored. The QR path solves each gathered unit
+/// through its allocating route instead (it exists for the
+/// `als_solver` ablation, not for speed).
 ///
-/// The normal-equations path runs the allocation-free Gram kernel: each
-/// worker carries one [`GramScratch`] (`r×r` plus two `r`-vectors) for
-/// the whole fan-out and accumulates `AᵀA + λI` / `Aᵀy` directly from
-/// the design rows of the observed entries — no per-unit design matrix,
-/// RHS, or Gram product is ever materialized. The QR path keeps its
-/// allocating route (it exists for the `als_solver` ablation, not for
-/// speed).
+/// Each group's solves are independent, so the groups fan out over
+/// [`for_each_unit`]: every worker writes only its claimed group's rows,
+/// and a failed solve surfaces as the error of the smallest failing
+/// unit — both schedule-independent, keeping the output identical
+/// across thread counts.
 pub(crate) fn solve_factor(
     design: &Matrix,
     source: &dyn ObsSource,
@@ -599,40 +607,66 @@ pub(crate) fn solve_factor(
 ) -> Result<(), CsError> {
     let r = design.cols();
     let (m, n) = source.shape();
-    let rows = out.as_mut_slice().chunks_mut(r);
-    let mut units: Vec<(&mut [f64], Option<&mut f64>)> = match fit {
-        Some(fit) => rows.zip(fit.iter_mut().map(Some)).collect(),
-        None => rows.map(|row| (row, None)).collect(),
+    // Scoring fits keeps a group's gathers until its solve is done.
+    let keep = fit.is_some();
+    let rows = out.as_mut_slice().chunks_mut(LANES * r);
+    let mut groups: Vec<(&mut [f64], Option<&mut [f64]>)> = match fit {
+        Some(fit) => rows.zip(fit.chunks_mut(LANES).map(Some)).collect(),
+        None => rows.map(|rows| (rows, None)).collect(),
     };
     let walk = if axis == SolveAxis::Row { n } else { m };
+    let gathered = if keep { LANES * walk } else { walk };
     for_each_unit(
-        &mut units,
+        &mut groups,
         threads,
-        || (gather_buffers(walk), GramScratch::new(r)),
-        |unit, (row, fit), ((idx, val), gram)| {
-            match axis {
-                SolveAxis::Row => source.gather_row(unit, idx, val),
-                SolveAxis::Column => source.gather_col(unit, idx, val),
-            }
-            // Explicitly `solve_qr`, not a re-dispatch through
-            // `config.solver.solve`: the QR arm exists only for the
-            // ablation, and routing back through the enum would silently
-            // fall into the allocating normal-equations path if the arms
-            // ever drifted apart. `solve_ridge_rows` owns the empty-unit
-            // → zero rule and the exact accumulation order.
-            match config.solver {
-                RidgeSolver::NormalEquations => {
-                    gram.solve_ridge_rows(design, idx, val, config.lambda, row)
-                }
-                RidgeSolver::Qr => solve_qr_unit(design, idx, val, config.lambda, row),
-            }
-            .map_err(|e| CsError::Solve {
+        || (gather_buffers(gathered), GramScratch::new(r)),
+        |group, (rows, fit), ((idx, val), gram)| {
+            let first = group * LANES;
+            let fail = |lane: usize, e: SolveError| CsError::Solve {
                 axis,
-                index: unit,
+                index: first + lane,
                 detail: e.to_string(),
-            })?;
+            };
+            let mut spans = [(0, 0); LANES];
+            let mut at = 0;
+            for (lane, row) in rows.chunks_mut(r).enumerate() {
+                let len = match axis {
+                    SolveAxis::Row => {
+                        source.gather_row(first + lane, &mut idx[at..], &mut val[at..])
+                    }
+                    SolveAxis::Column => {
+                        source.gather_col(first + lane, &mut idx[at..], &mut val[at..])
+                    }
+                };
+                let (unit_idx, unit_val) = (&idx[at..at + len], &val[at..at + len]);
+                // Explicitly `solve_qr`, not a re-dispatch through
+                // `config.solver.solve`: the QR arm exists only for the
+                // ablation, and routing back through the enum would
+                // silently fall into the allocating normal-equations
+                // path if the arms ever drifted apart.
+                match config.solver {
+                    RidgeSolver::NormalEquations => {
+                        gram.accumulate_lane(lane, design, unit_idx, unit_val, config.lambda);
+                    }
+                    RidgeSolver::Qr => {
+                        solve_qr_unit(design, unit_idx, unit_val, config.lambda, row)
+                            .map_err(|e| fail(lane, e))?
+                    }
+                }
+                spans[lane] = (at, at + len);
+                if keep {
+                    at += len;
+                }
+            }
+            // `solve_lanes` owns the empty-unit → zero rule and the
+            // exact accumulation and factorization order.
+            if config.solver == RidgeSolver::NormalEquations {
+                gram.solve_lanes(rows).map_err(|(lane, e)| fail(lane, e))?;
+            }
             if let Some(fit) = fit {
-                **fit = unit_fit(design, row, idx, val);
+                for ((fit, row), &(a, b)) in fit.iter_mut().zip(rows.chunks(r)).zip(&spans) {
+                    *fit = unit_fit(design, row, &idx[a..b], &val[a..b]);
+                }
             }
             Ok(())
         },
@@ -646,7 +680,7 @@ fn solve_qr_unit(
     values: &[f64],
     lambda: f64,
     row: &mut [f64],
-) -> Result<(), linalg::lstsq::SolveError> {
+) -> Result<(), SolveError> {
     if indices.is_empty() {
         row.fill(0.0);
         return Ok(());
@@ -672,8 +706,8 @@ fn column_fits(source: &dyn ObsSource, l: &Matrix, r: &Matrix, threads: usize) -
         threads,
         || gather_buffers(m),
         |j, fit, (idx, val)| {
-            source.gather_col(j, idx, val);
-            *fit = unit_fit(l, r.row(j), idx, val);
+            let len = source.gather_col(j, idx, val);
+            *fit = unit_fit(l, r.row(j), &idx[..len], &val[..len]);
             Ok::<(), Infallible>(())
         },
     );
@@ -852,29 +886,38 @@ mod tests {
 
     #[test]
     fn solve_failure_reports_axis_and_smallest_index() {
-        // λ = 0 with an all-zero design column makes every unit's Gram
-        // matrix exactly singular (the second Cholesky pivot is 0.0, no
-        // rounding involved), so both units fail and the smallest index
-        // must win regardless of scheduling.
-        let design = Matrix::from_fn(4, 2, |i, k| if k == 0 { 1.0 + i as f64 } else { 0.0 });
-        // Column 0 observed in rows 0 and 1, column 1 in rows 2 and 3.
-        let values = Matrix::from_fn(4, 2, |i, _| 1.0 + (i % 2) as f64);
-        let mask = Matrix::from_fn(4, 2, |i, j| if i / 2 == j { 1.0 } else { 0.0 });
-        let obs = ObsIndex::from_tcm(&Tcm::complete(values).masked(&mask).unwrap());
-        let cfg = CsConfig { rank: 2, lambda: 0.0, ..CsConfig::default() };
-        for threads in [1, 2] {
-            let mut out = Matrix::zeros(2, 2);
-            let err = solve_factor(&design, &obs, SolveAxis::Column, &cfg, threads, &mut out, None)
-                .unwrap_err();
-            match &err {
-                CsError::Solve { axis, index, detail } => {
-                    assert_eq!(*axis, SolveAxis::Column);
-                    assert_eq!(*index, 0);
-                    assert!(detail.contains("positive definite"), "detail: {detail}");
+        // λ = 0 at rank 4, where the fixed-rank kernel solves four units
+        // side by side. The design is diagonal, so a column observed in
+        // all four rows has a positive definite Gram matrix, while one
+        // that misses row 3 has an exactly zero last pivot (no rounding
+        // involved). Units are grouped four at a time, so the first
+        // failure sits in lane 1, 2 or 3 of the second group, with later
+        // failures after it in the same group and in the third; the
+        // smallest failing index must win regardless of lanes and
+        // scheduling.
+        let design = Matrix::from_fn(4, 4, |i, k| if i == k { 1.0 + i as f64 } else { 0.0 });
+        let values = Matrix::from_fn(4, 12, |i, j| 1.0 + ((i + j) % 3) as f64);
+        for lane in 1..LANES {
+            let first = LANES + lane;
+            let failing = |j: usize| j == first || j == 2 * LANES - 1 || j >= 2 * LANES;
+            let mask = Matrix::from_fn(4, 12, |i, j| if i == 3 && failing(j) { 0.0 } else { 1.0 });
+            let obs = ObsIndex::from_tcm(&Tcm::complete(values.clone()).masked(&mask).unwrap());
+            let cfg = CsConfig { rank: 4, lambda: 0.0, ..CsConfig::default() };
+            for threads in [1, 2, 8] {
+                let mut out = Matrix::zeros(12, 4);
+                let err =
+                    solve_factor(&design, &obs, SolveAxis::Column, &cfg, threads, &mut out, None)
+                        .unwrap_err();
+                match &err {
+                    CsError::Solve { axis, index, detail } => {
+                        assert_eq!(*axis, SolveAxis::Column);
+                        assert_eq!(*index, first, "lane {lane}, {threads} threads");
+                        assert!(detail.contains("positive definite at pivot 3"), "{detail}");
+                    }
+                    other => panic!("expected CsError::Solve, got {other:?}"),
                 }
-                other => panic!("expected CsError::Solve, got {other:?}"),
+                assert!(err.to_string().contains(&format!("column {first}")), "display: {err}");
             }
-            assert!(err.to_string().contains("column 0"), "display: {err}");
         }
     }
 

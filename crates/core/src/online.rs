@@ -21,6 +21,7 @@
 //! sliding window) is `probes::stream::StreamingTcm`.
 
 use std::convert::Infallible;
+use std::time::Instant;
 
 use crate::cs::{
     complete_matrix_warm, dot, for_each_unit, objective, solve_factor, CompletionResult, CsConfig,
@@ -30,6 +31,7 @@ use crate::error::{ConfigError, Error};
 use crate::obs::ObsSource;
 use linalg::Matrix;
 use probes::Tcm;
+use telemetry::{Level, Span};
 
 /// Sliding-window online estimator.
 ///
@@ -235,6 +237,11 @@ impl OnlineEstimator {
     /// and the estimator is unprimed, so the retry is a full warm sweep
     /// from the last good `R`.
     ///
+    /// At `Debug` level the pass emits an `online.pass` span whose
+    /// `l_step_ms`, `r_step_ms` and `rewrite_ms` fields split its wall
+    /// clock into the `L` step, the `R` step (with its fit scoring) and
+    /// the `L·Rᵀ` rewrite.
+    ///
     /// # Errors
     ///
     /// [`Error::Config`] when not primed or the shapes do not match the
@@ -269,8 +276,11 @@ impl OnlineEstimator {
             return Err(ConfigError::new("warm_pass", shapes + " disagree").into());
         }
         let plan = ThreadPlan::new(m * n, m, n, rank, cfg.num_threads);
+        let mut span = telemetry::span(Level::Debug, "online.pass");
+        let mut lap = span.is_enabled().then(Instant::now);
         let mut l = Matrix::zeros(m, rank);
         solve_factor(r, source, SolveAxis::Row, cfg, plan.row_solve, &mut l, None)?;
+        record_lap(&mut span, &mut lap, "l_step_ms");
         // The R step scores each column's fit while it is gathered.
         let (mut new_r, mut fit) = (Matrix::zeros(n, rank), vec![0.0; n]);
         solve_factor(
@@ -283,6 +293,7 @@ impl OnlineEstimator {
             Some(&mut fit),
         )?;
         let v = objective(&fit, &l, &new_r, cfg.lambda);
+        record_lap(&mut span, &mut lap, "r_step_ms");
         if v.is_finite() {
             // Each cell is `l_i · r_j`, bit-identical to the full path's
             // `matmul_transpose_b`.
@@ -299,6 +310,7 @@ impl OnlineEstimator {
                 },
             );
             self.prev_r = Some(new_r);
+            record_lap(&mut span, &mut lap, "rewrite_ms");
         }
         Ok(v)
     }
@@ -324,6 +336,15 @@ impl OnlineEstimator {
     pub fn reset(&mut self) {
         self.prev_r = None;
         self.primed = false;
+    }
+}
+
+/// Records the milliseconds since `lap` started as `key` on `span` and
+/// restarts it; a no-op when the span is off (`lap` is `None`).
+fn record_lap(span: &mut Span, lap: &mut Option<Instant>, key: &'static str) {
+    if let Some(start) = lap {
+        span.record(key, start.elapsed().as_secs_f64() * 1e3);
+        *start = Instant::now();
     }
 }
 
@@ -604,19 +625,20 @@ mod tests {
     ) -> (Matrix, f64, Matrix) {
         let (m, n) = source.shape();
         let mut gram = GramScratch::new(cfg.rank);
-        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        let (mut idx, mut val) = (vec![0; m.max(n)], vec![0.0; m.max(n)]);
         let mut l = Matrix::zeros(m, cfg.rank);
         for i in 0..m {
-            source.gather_row(i, &mut idx, &mut val);
-            gram.solve_ridge_rows(r, &idx, &val, cfg.lambda, l.row_mut(i)).unwrap();
+            let len = source.gather_row(i, &mut idx, &mut val);
+            gram.solve_ridge_rows(r, &idx[..len], &val[..len], cfg.lambda, l.row_mut(i)).unwrap();
         }
         let mut new_r = Matrix::zeros(n, cfg.rank);
         let mut fit = Vec::with_capacity(n);
         for j in 0..n {
-            source.gather_col(j, &mut idx, &mut val);
-            gram.solve_ridge_rows(&l, &idx, &val, cfg.lambda, new_r.row_mut(j)).unwrap();
+            let len = source.gather_col(j, &mut idx, &mut val);
+            let (idx, val) = (&idx[..len], &val[..len]);
+            gram.solve_ridge_rows(&l, idx, val, cfg.lambda, new_r.row_mut(j)).unwrap();
             let mut partial = 0.0;
-            for (&i, &v) in idx.iter().zip(&val) {
+            for (&i, &v) in idx.iter().zip(val) {
                 let pred: f64 =
                     (0..cfg.rank).fold(0.0, |acc, k| acc + l.get(i as usize, k) * new_r.get(j, k));
                 partial += (pred - v) * (pred - v);
@@ -702,6 +724,30 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_warm_pass_leaves_estimate_and_factors_untouched() {
+        // Two 1e308 km/h observations pass the window's own rule (finite,
+        // non-negative) but overflow their cell's sum to +inf, so the
+        // pass's objective is not finite: the estimate and the warm R
+        // must stay bit-identical and the estimator must unprime, so the
+        // retry is a full warm sweep. (The service's admission ceiling
+        // keeps such reports out of its window.)
+        let mut stream = small_stream();
+        let mut online = OnlineEstimator::new(cfg(), stream.window_slots()).unwrap();
+        let mut estimate = online.update_detailed(&stream.snapshot()).unwrap().estimate;
+        for k in 0..2 {
+            stream.observe(3 * 60 + k, 4, 1e308).unwrap();
+        }
+        let (r_before, estimate_before) =
+            (online.warm_factors().unwrap().clone(), estimate.clone());
+        let objective = online.update_pass(&stream, &mut estimate).unwrap();
+        assert!(!objective.is_finite(), "objective {objective}");
+        assert!(bits(estimate.as_slice()) == bits(estimate_before.as_slice()), "estimate moved");
+        assert!(bits(online.warm_factors().unwrap().as_slice()) == bits(r_before.as_slice()));
+        assert!(!online.primed(), "a non-finite pass must unprime");
+        assert_eq!(online.updates(), 1, "a non-finite pass is not an update");
+    }
+
+    #[test]
     fn warm_pass_reports_the_smallest_failing_column_at_any_thread_count() {
         // λ = 0 leaves a column with fewer observations than the rank a
         // singular ridge system. Against hand-built factors several
@@ -716,17 +762,17 @@ mod tests {
         // Sequential reference: the pass's L step, then the first column
         // whose solve against the new L fails.
         let mut gram = GramScratch::new(rank);
-        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        let (mut idx, mut val) = (vec![0; n], vec![0.0; n]);
         let mut new_l = Matrix::zeros(m, rank);
         for i in 0..m {
-            stream.gather_row(i, &mut idx, &mut val);
-            gram.solve_ridge_rows(&r, &idx, &val, 0.0, new_l.row_mut(i)).unwrap();
+            let len = stream.gather_row(i, &mut idx, &mut val);
+            gram.solve_ridge_rows(&r, &idx[..len], &val[..len], 0.0, new_l.row_mut(i)).unwrap();
         }
         let mut out = vec![0.0; rank];
         let failing: Vec<usize> = (0..n)
             .filter(|&j| {
-                stream.gather_col(j, &mut idx, &mut val);
-                gram.solve_ridge_rows(&new_l, &idx, &val, 0.0, &mut out).is_err()
+                let len = stream.gather_col(j, &mut idx, &mut val);
+                gram.solve_ridge_rows(&new_l, &idx[..len], &val[..len], 0.0, &mut out).is_err()
             })
             .collect();
         assert!(failing.len() > 1, "{} columns fail at lambda 0", failing.len());

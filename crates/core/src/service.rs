@@ -14,8 +14,9 @@
 //!   limit;
 //! * admission rules classify every report: late reports are dropped and
 //!   counted, exact re-deliveries are deduplicated last-write-wins,
-//!   malformed reports (non-finite or negative speed, unknown segment)
-//!   are rejected and counted — none of them can corrupt the window;
+//!   malformed reports (a speed that is non-finite, negative or above
+//!   [`MAX_SPEED_KMH`], an unknown segment) are rejected and counted —
+//!   none of them can corrupt the window;
 //! * a per-solve watchdog caps warm-start sweeps and measures wall
 //!   clock; a failed or over-budget solve degrades gracefully to the
 //!   last good estimate with [`LiveEstimate::stale`] set instead of
@@ -100,6 +101,13 @@ pub struct Observation {
     /// Instantaneous speed in km/h.
     pub speed_kmh: f64,
 }
+
+/// The fastest speed admission accepts, in km/h; a report above it is
+/// rejected as malformed. No road vehicle reports more, and the ceiling
+/// keeps a finite but absurd speed out of the window: two 1e308 km/h
+/// reports on one cell would overflow its sum to infinity and degrade
+/// every solve until that slot left the window.
+pub const MAX_SPEED_KMH: f64 = 1_000.0;
 
 /// What to do when a report arrives and the ingest queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1029,9 +1037,10 @@ impl Service {
     /// Applies the admission rules to one report.
     fn admit(&mut self, queued: Queued, report: &mut TickReport) {
         let Queued { obs, trace, enqueued } = queued;
-        // Rule 1: malformed reports are rejected outright.
-        if !obs.speed_kmh.is_finite()
-            || obs.speed_kmh < 0.0
+        // Rule 1: malformed reports (a speed that is NaN, negative, or
+        // above the ceiling, infinities included; an unknown segment)
+        // are rejected outright.
+        if !(0.0..=MAX_SPEED_KMH).contains(&obs.speed_kmh)
             || obs.segment >= self.config.num_segments
         {
             self.stats.rejected += 1;
@@ -1693,7 +1702,7 @@ mod tests {
         }
 
         fn offer(&mut self, o: &Observation) {
-            if !o.speed_kmh.is_finite() || o.speed_kmh < 0.0 || o.segment >= self.n {
+            if !(0.0..=MAX_SPEED_KMH).contains(&o.speed_kmh) || o.segment >= self.n {
                 return;
             }
             let slot = (o.timestamp_s / 60) as usize;

@@ -8,6 +8,9 @@
 //! unit per sweep (five allocations × units × sweeps); the kernel path
 //! allocates one scratch per fan-out.
 //!
+//! A serve-path warm pass is pinned the same way: its allocation count
+//! does not grow with the number of segments.
+//!
 //! The same allocator also proves the streaming service's tick hot
 //! path is free when observability is off: steady-state empty ticks
 //! allocate nothing, configuring `trace_sample` costs nothing while
@@ -117,6 +120,47 @@ fn sweep_loop_allocations_do_not_scale_with_units() {
     // --- Kernel variants allocate identically ------------------------
     // (Same test fn, same reason.)
     kernel_variants_allocate_identically();
+
+    // --- A warm pass allocates per fan-out, not per unit -------------
+    warm_pass_allocations_do_not_scale_with_segments();
+}
+
+/// A serve-path warm pass allocates its factor buffers and one scratch
+/// per fan-out — never per unit, per lane or per cell — so a 16 × 8,192
+/// window costs the same number of allocations as a 16 × 2,048 one.
+fn warm_pass_allocations_do_not_scale_with_segments() {
+    use probes::stream::StreamingTcm;
+    use traffic_cs::online::OnlineEstimator;
+
+    let count = |segments: usize| {
+        // About one cell in four observed, as on a sparse metro window.
+        let mut stream = StreamingTcm::new(0, 60, 16, segments).unwrap();
+        for slot in 0..16usize {
+            for seg in (slot % 4..segments).step_by(4) {
+                let speed = 30.0 + ((slot * 7 + seg) % 23) as f64;
+                stream.observe((slot * 60) as u64, seg, speed).unwrap();
+            }
+        }
+        let cfg = CsConfig {
+            rank: 8,
+            lambda: 0.1,
+            iterations: 4,
+            tol: 0.0,
+            num_threads: 1,
+            ..CsConfig::default()
+        };
+        let mut online = OnlineEstimator::new(cfg, 16).unwrap();
+        let mut estimate = online.update_detailed(&stream.snapshot()).unwrap().estimate;
+        online.update_pass(&stream, &mut estimate).unwrap();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        online.update_pass(&stream, &mut estimate).unwrap();
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    let (small, large) = (count(2_048), count(8_192));
+    assert_eq!(
+        small, large,
+        "a warm pass allocated {small} times on 2,048 segments but {large} times on 8,192"
+    );
 }
 
 /// The fixed-rank and unrolled kernels must match the scalar reference

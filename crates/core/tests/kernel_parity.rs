@@ -685,3 +685,98 @@ fn service_replay_is_kernel_variant_invariant() {
         set_kernel_override(None);
     }
 }
+
+/// An integer-generated streaming window: about one cell in four holds
+/// one to three reports whose speeds are integers over 4, so every
+/// gathered `sum / count` (and every bit pinned below) follows from
+/// IEEE arithmetic alone — no transcendental function, so no libm.
+fn integer_window(m: usize, n: usize) -> probes::stream::StreamingTcm {
+    let mut s = probes::stream::StreamingTcm::new(0, 60, m, n).unwrap();
+    for slot in 0..m {
+        for seg in 0..n {
+            let h = (slot * n + seg).wrapping_mul(2_654_435_761) >> 7;
+            if !h.is_multiple_of(4) {
+                continue;
+            }
+            for k in 0..1 + (h >> 2) % 3 {
+                let quarters = 80 + (seg % 13) * 4 + (slot % 6) * (seg % 5 + 1) + k * 3;
+                s.observe((slot * 60 + k) as u64, seg, quarters as f64 / 4.0).unwrap();
+            }
+        }
+    }
+    s
+}
+
+/// Slides `s` one slot (a report on every seventh segment of the new
+/// head) and rewrites a few in-window cells, all with integer speeds.
+fn integer_round(s: &mut probes::stream::StreamingTcm) {
+    let n = s.num_segments();
+    let head = s.head_slot() + 1;
+    for seg in (0..n).step_by(7) {
+        s.observe((head * 60) as u64, seg, (90 + seg % 29) as f64 / 2.0).unwrap();
+    }
+    for k in 0..n / 16 {
+        let row = k % (s.window_slots() - 1);
+        let seg = (k * 37) % n;
+        let ts = ((s.tail_slot() + row) * 60 + 30) as u64;
+        s.observe(ts, seg, (100 + k % 17) as f64 / 4.0).unwrap();
+    }
+}
+
+fn digest(parts: &[&[f64]]) -> u64 {
+    let mut h = telemetry::Fnv::new();
+    for part in parts {
+        for v in *part {
+            h.write_u64(v.to_bits());
+        }
+    }
+    h.finish()
+}
+
+/// `(cold, warm)` FNV digests of one cold `update_detailed` (estimate,
+/// both factors, objective) and the warm pass after one
+/// [`integer_round`] (new `R`, estimate, objective).
+fn solve_digests(m: usize, n: usize, rank: usize, lambda: f64, threads: usize) -> (u64, u64) {
+    use traffic_cs::online::OnlineEstimator;
+    let cfg = CsConfig {
+        rank,
+        lambda,
+        iterations: 8,
+        tol: 0.0,
+        seed: 5,
+        num_threads: threads,
+        ..CsConfig::default()
+    };
+    let mut stream = integer_window(m, n);
+    let mut online = OnlineEstimator::new(cfg, m).unwrap();
+    let cold = online.update_detailed(&stream.snapshot()).unwrap();
+    let (l, r) = &cold.factors;
+    let cold_digest =
+        digest(&[cold.estimate.as_slice(), l.as_slice(), r.as_slice(), &[cold.objective]]);
+    let mut estimate = cold.estimate;
+    integer_round(&mut stream);
+    let objective = online.update_pass(&stream, &mut estimate).unwrap();
+    let warm_r = online.warm_factors().unwrap();
+    (cold_digest, digest(&[warm_r.as_slice(), estimate.as_slice(), &[objective]]))
+}
+
+/// Golden digests of the serve path's two solves: a warm pass and a
+/// cold solve on two integer-generated windows (16 × 2,048 at rank 8,
+/// the `metro-sparse` shape scaled down; 8 × 1,024 at rank 4, a
+/// `wire-mixed` shard's rank), at 1, 2 and 8 threads. The pins were
+/// recorded with the one-unit-at-a-time solver, so any later kernel or
+/// batching change that moves a bit fails here, on both legs of the
+/// `kernel` feature.
+#[test]
+fn warm_pass_and_cold_solve_match_golden_digests() {
+    const GOLDEN: [(usize, usize, usize, f64, u64, u64); 2] = [
+        (16, 2048, 8, 0.1, 0xb777_c208_30f0_fad3, 0x2074_da24_c795_d942),
+        (8, 1024, 4, 0.3, 0xa51f_23e0_545e_a717, 0x4e98_a2ef_a8b7_e37b),
+    ];
+    for (m, n, rank, lambda, cold, warm) in GOLDEN {
+        for threads in [1usize, 2, 8] {
+            let got = solve_digests(m, n, rank, lambda, threads);
+            assert_eq!(got, (cold, warm), "{m}x{n} rank {rank} at {threads} threads");
+        }
+    }
+}

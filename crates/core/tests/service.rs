@@ -4,7 +4,7 @@
 
 use probes::tcm::TcmBuilder;
 use traffic_cs::cs::{complete_matrix_detailed, CsConfig};
-use traffic_cs::service::{Backpressure, Observation, ServeConfig, Service};
+use traffic_cs::service::{Backpressure, Observation, ServeConfig, Service, MAX_SPEED_KMH};
 use traffic_cs::sharded::{ShardPlan, ShardedService};
 use traffic_cs::{Error, ServeError};
 
@@ -506,6 +506,16 @@ fn admission_rules_table() {
         Observation { vehicle: 2, timestamp_s: 12, segment: 0, speed_kmh: -1.0 };
     const MALFORMED_SEG: Observation =
         Observation { vehicle: 2, timestamp_s: 13, segment: 99, speed_kmh: 30.0 };
+    // Finite but absurd speeds are malformed too; the ceiling itself is
+    // still a speed.
+    const TOO_FAST: Observation =
+        Observation { vehicle: 2, timestamp_s: 14, segment: 0, speed_kmh: 1e6 };
+    const ABSURD: Observation =
+        Observation { vehicle: 2, timestamp_s: 15, segment: 0, speed_kmh: 1e308 };
+    const INFINITE: Observation =
+        Observation { vehicle: 2, timestamp_s: 16, segment: 0, speed_kmh: f64::INFINITY };
+    const AT_CEILING: Observation =
+        Observation { vehicle: 6, timestamp_s: 17, segment: 1, speed_kmh: MAX_SPEED_KMH };
     // Slot 100 advances the clock so window 4 puts slot 0 below tail 97.
     const FRESH: Observation =
         Observation { vehicle: 3, timestamp_s: 100 * SLOT_LEN, segment: 0, speed_kmh: 40.0 };
@@ -541,6 +551,17 @@ fn admission_rules_table() {
             backpressure: Backpressure::DropOldest,
             queue_capacity: 8,
             input: &[MALFORMED_NAN, MALFORMED_NEG, MALFORMED_SEG, VALID],
+            queue_dropped: 0,
+            rejected: 3,
+            dropped_late: 0,
+            admitted: 1,
+            duplicates: 0,
+        },
+        AdmissionCase {
+            name: "speed-ceiling/drop-newest",
+            backpressure: Backpressure::DropNewest,
+            queue_capacity: 8,
+            input: &[TOO_FAST, ABSURD, INFINITE, AT_CEILING],
             queue_dropped: 0,
             rejected: 3,
             dropped_late: 0,
@@ -894,18 +915,22 @@ fn failed_or_non_finite_warm_pass_leaves_the_stale_estimate_untouched() {
     assert!(!report.solved && report.degraded, "{report:?}");
     assert!(s.latest().unwrap().stale);
     assert_eq!(served(&s), before, "a failed pass moved or rewrote the stale estimate");
-    // (b) Two 1e308 km/h reports on one cell: each passes admission,
-    // but their sum overflows, and the pass's objective is not finite.
+    // (b) Two 1e308 km/h reports on one cell would overflow its sum to
+    // infinity; admission rejects both (above `MAX_SPEED_KMH`), so the
+    // tick neither solves nor degrades and the live estimate stays
+    // fresh and bit-identical. (The online unit test
+    // `non_finite_warm_pass_leaves_estimate_and_factors_untouched`
+    // drives such a cell into a window directly.)
     let mut s = warm();
     let before = served(&s);
     for vehicle in [7, 8] {
         s.push(Observation { vehicle, timestamp_s: 3 * SLOT_LEN, segment: 4, speed_kmh: 1e308 });
     }
     let report = s.tick();
-    assert_eq!(report.admitted, 2);
-    assert!(!report.solved && report.degraded, "{report:?}");
-    assert!(s.latest().unwrap().stale);
-    assert_eq!(served(&s), before, "a non-finite pass rewrote the stale estimate");
+    assert_eq!((report.rejected, report.admitted), (2, 0), "{report:?}");
+    assert!(!report.solved && !report.degraded, "{report:?}");
+    assert!(!s.latest().unwrap().stale);
+    assert_eq!(served(&s), before, "rejected reports changed the live estimate");
 }
 
 /// SplitMix64 step: the long-horizon stream's only randomness.

@@ -187,3 +187,38 @@ fn tracing_off_emits_nothing_even_at_trace_level() {
     s.tick();
     assert_eq!(sink.count_named("serve.trace"), 0, "trace_sample 0 must emit no traces");
 }
+
+#[test]
+fn each_warm_pass_splits_its_time_into_stages() {
+    // At Debug level every warm pass emits one `online.pass` span
+    // carrying the wall clock of its `L` step, `R` step and `L·Rᵀ`
+    // rewrite — the split the `als_kernel` bench's warm-pass section
+    // reads.
+    let _g = serialize();
+    let sink = Arc::new(telemetry::CaptureSink::new());
+    telemetry::add_sink(sink.clone());
+    telemetry::set_level(telemetry::Level::Debug);
+    let mut s = service(1, Backpressure::DropNewest);
+    for round in 0..4u64 {
+        for v in 0..8u64 {
+            s.push(Observation {
+                vehicle: v,
+                timestamp_s: 30 + round,
+                segment: (v % 4) as usize,
+                speed_kmh: 30.0 + (v + round) as f64,
+            });
+        }
+        s.tick();
+    }
+    let passes: Vec<_> = sink.records().into_iter().filter(|r| r.name == "online.pass").collect();
+    assert_eq!(passes.len() as u64, s.solve_stats().incremental_solves);
+    assert!(!passes.is_empty(), "the workload never took a warm pass");
+    for pass in &passes {
+        for key in ["l_step_ms", "r_step_ms", "rewrite_ms"] {
+            match pass.field(key) {
+                Some(telemetry::Value::Float(ms)) => assert!(*ms >= 0.0, "{key} = {ms}"),
+                other => panic!("online.pass lacks a numeric {key}: {other:?}"),
+            }
+        }
+    }
+}

@@ -36,6 +36,12 @@
 //!   scalar, so they are unrolled without changing the strictly
 //!   sequential `sum -= a[k]*b[k]` order (the unroll only removes loop
 //!   and bounds-check overhead; the float ops are order-identical).
+//! * The lane batch ([`GramKernel::solve_lanes`]) factors [`LANES`]
+//!   independent systems side by side, one per `f64` lane of a
+//!   `[f64; 4]`. Each lane runs exactly the scalar op sequence on its
+//!   own system; lanes never mix, so no sum is reassociated. Only the
+//!   schedule changes: four serial chains of divisions and square roots
+//!   overlap instead of running one after another.
 //!
 //! The differential rig in `tests/kernel_parity_rig.rs` enforces this
 //! contract at 0 ulp over adversarial geometries, and carries a negative
@@ -54,6 +60,19 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::lstsq::{accumulate_gram, cholesky_solve_in_place, SolveError};
+
+/// Ridge systems one lane batch holds: [`GramKernel::solve_lanes`]
+/// factors this many side by side.
+pub const LANES: usize = 4;
+
+/// One `f64` per system of a lane batch.
+pub type Lane = [f64; LANES];
+
+/// Builds a [`Lane`] lane by lane: `f(l)` is lane `l`'s value.
+#[inline(always)]
+fn lanes(f: impl Fn(usize) -> f64) -> Lane {
+    std::array::from_fn(f)
+}
 
 /// Which Gram/Cholesky kernel implementation a [`GramScratch`]
 /// dispatches to. All variants are bit-for-bit identical; they differ
@@ -437,9 +456,28 @@ impl<const R: usize> GramKernel<R> {
         gram: &mut [f64],
         rhs: &mut [f64],
     ) {
-        assert!(R.is_multiple_of(4), "GramKernel requires a 4-lane rank");
         assert_eq!(rhs.len(), R, "rhs must be length R");
         assert_eq!(gram.len(), R * R, "gram buffer must be R*R");
+        let (acc, acc_rhs) = Self::accumulate_local(rows);
+        // Writeback: lower triangle only (exactly what the solve
+        // reads), zeros elsewhere, λ added to the accumulated diagonal
+        // in the same final position as the scalar kernel.
+        gram.fill(0.0);
+        for i in 0..R {
+            gram[i * R..i * R + i + 1].copy_from_slice(&acc[i][..i + 1]);
+            gram[i * R + i] += lambda;
+        }
+        rhs.copy_from_slice(&acc_rhs);
+    }
+
+    /// The accumulation loop of [`GramKernel::accumulate`] and
+    /// [`GramKernel::accumulate_lane`]: the padded triangle and the RHS
+    /// in local arrays, before λ and writeback.
+    #[inline(always)]
+    fn accumulate_local<'a>(
+        rows: impl Iterator<Item = (&'a [f64], f64)>,
+    ) -> ([[f64; R]; R], [f64; R]) {
+        assert!(R.is_multiple_of(4), "GramKernel requires a 4-lane rank");
         let mut acc = [[0.0f64; R]; R];
         let mut acc_rhs = [0.0f64; R];
         for (row, y) in rows {
@@ -458,15 +496,92 @@ impl<const R: usize> GramKernel<R> {
                 acc_rhs[i] += di * y;
             }
         }
-        // Writeback: lower triangle only (exactly what the solve
-        // reads), zeros elsewhere, λ added to the accumulated diagonal
-        // in the same final position as the scalar kernel.
-        gram.fill(0.0);
+        (acc, acc_rhs)
+    }
+
+    /// [`GramKernel::accumulate`] into lane `lane` of a lane batch:
+    /// the same accumulation and the same final λ addition, written to
+    /// `gram[i][j][lane]` (`j ≤ i`; the upper triangle is left alone)
+    /// and `rhs[i][lane]` for [`GramKernel::solve_lanes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane >= LANES` or a design row is shorter than `R`.
+    pub fn accumulate_lane<'a>(
+        rows: impl Iterator<Item = (&'a [f64], f64)>,
+        lambda: f64,
+        lane: usize,
+        gram: &mut [[Lane; R]; R],
+        rhs: &mut [Lane; R],
+    ) {
+        let (acc, acc_rhs) = Self::accumulate_local(rows);
         for i in 0..R {
-            gram[i * R..i * R + i + 1].copy_from_slice(&acc[i][..i + 1]);
-            gram[i * R + i] += lambda;
+            for j in 0..=i {
+                gram[i][j][lane] = acc[i][j];
+            }
+            gram[i][i][lane] += lambda;
+            rhs[i][lane] = acc_rhs[i];
         }
-        rhs.copy_from_slice(&acc_rhs);
+    }
+
+    /// Factors and solves the [`LANES`] systems of a lane batch side by
+    /// side, leaving lane `l`'s solution in `out[..][l]`. Lane by lane
+    /// this performs exactly [`GramKernel::solve_in_place`]'s float ops
+    /// in its order (Cholesky with strictly sequential `sum -= a·b`
+    /// reductions, forward, then backward substitution); a `[f64; 4]`
+    /// op is four independent IEEE ops and nothing is fused or
+    /// reassociated, so every lane carries the bits of a one-system
+    /// solve. The gain is latency: a rank-8 factor and its two
+    /// substitutions are a serial chain of 44 divisions and 8 square
+    /// roots, and four independent chains overlap where one would stall.
+    ///
+    /// Returns each lane's first non-positive pivot — the index
+    /// [`SolveError::NotPositiveDefinite`] names for that system — or
+    /// `None`. A failed lane runs on to the end (its solution is
+    /// meaningless) so the other lanes stay branch-free.
+    pub fn solve_lanes(
+        gram: &mut [[Lane; R]; R],
+        rhs: &[Lane; R],
+        out: &mut [Lane; R],
+    ) -> [Option<usize>; LANES] {
+        let mut failed = [None; LANES];
+        // In-place Cholesky of the lower triangle: gram becomes L.
+        for i in 0..R {
+            for j in 0..=i {
+                let mut sum = gram[i][j];
+                for k in 0..j {
+                    sum = lanes(|l| sum[l] - gram[i][k][l] * gram[j][k][l]);
+                }
+                if i == j {
+                    for (pivot, fail) in sum.iter().zip(&mut failed) {
+                        if *pivot <= 0.0 && fail.is_none() {
+                            *fail = Some(i);
+                        }
+                    }
+                    gram[i][i] = lanes(|l| sum[l].sqrt());
+                } else {
+                    gram[i][j] = lanes(|l| sum[l] / gram[j][j][l]);
+                }
+            }
+        }
+        // Forward: L y = rhs.
+        let mut y = [[0.0; LANES]; R];
+        for i in 0..R {
+            let mut acc = rhs[i];
+            for k in 0..i {
+                acc = lanes(|l| acc[l] - gram[i][k][l] * y[k][l]);
+            }
+            y[i] = lanes(|l| acc[l] / gram[i][i][l]);
+        }
+        // Backward: Lᵀ out = y.
+        for i in (0..R).rev() {
+            let mut acc = y[i];
+            for k in i + 1..R {
+                acc = lanes(|l| acc[l] - gram[k][i][l] * out[k][l]);
+            }
+            out[i] = lanes(|l| acc[l] / gram[i][i][l]);
+        }
+        failed
     }
 
     /// Fixed-rank in-place Cholesky solve: the shared order-preserving

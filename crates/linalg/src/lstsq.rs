@@ -12,7 +12,7 @@
 //! * [`solve_qr`] — Householder QR on the stacked system, numerically safer
 //!   when λ is tiny. Used by the `als_solver` ablation bench.
 
-use crate::kernel::KernelVariant;
+use crate::kernel::{GramKernel, KernelVariant, Lane, LANES};
 use crate::qr::{QrDecomposition, QrError};
 use crate::{Matrix, MatrixShapeError};
 
@@ -282,10 +282,13 @@ pub fn cholesky_solve_in_place(
     Ok(())
 }
 
-/// Caller-owned scratch for the allocation-free ridge kernel: one `r×r`
-/// Gram buffer plus two `r`-vectors, allocated once and reused across
-/// any number of [`GramScratch::solve_ridge`] calls. This is what each
-/// ALS worker carries across the units of a sweep.
+/// Caller-owned scratch for the allocation-free ridge kernel: Gram and
+/// RHS storage for a batch of [`LANES`] rank-`r` systems plus one
+/// `r`-vector, allocated once and reused across any number of solves.
+/// This is what each ALS worker carries across the units of a sweep,
+/// solving them a batch at a time ([`GramScratch::accumulate_lane`],
+/// then [`GramScratch::solve_lanes`]) or one at a time
+/// ([`GramScratch::solve_ridge`]).
 ///
 /// Construction picks a kernel implementation via
 /// [`KernelVariant::auto`] — the fixed-rank kernel for r ∈ {4, 8, 16},
@@ -296,9 +299,15 @@ pub fn cholesky_solve_in_place(
 pub struct GramScratch {
     r: usize,
     variant: KernelVariant,
+    /// [`LANES`] Gram systems: lane-interleaved (`[[Lane; r]; r]`) for
+    /// the fixed-rank kernels, one row-major `r × r` block per lane for
+    /// the others. A one-unit solve uses the first `r × r` entries.
     gram: Vec<f64>,
+    /// [`LANES`] right-hand sides, laid out like `gram`.
     rhs: Vec<f64>,
     y: Vec<f64>,
+    /// Which lanes of the current batch hold a unit with no observations.
+    empty: [bool; LANES],
 }
 
 impl GramScratch {
@@ -318,7 +327,14 @@ impl GramScratch {
     /// kernel fed a different rank).
     pub fn with_variant(r: usize, variant: KernelVariant) -> Self {
         assert!(variant.supports(r), "kernel variant {variant} does not support rank {r}");
-        Self { r, variant, gram: vec![0.0; r * r], rhs: vec![0.0; r], y: vec![0.0; r] }
+        Self {
+            r,
+            variant,
+            gram: vec![0.0; LANES * r * r],
+            rhs: vec![0.0; LANES * r],
+            y: vec![0.0; r],
+            empty: [false; LANES],
+        }
     }
 
     /// The rank this scratch was sized for.
@@ -350,15 +366,16 @@ impl GramScratch {
         lambda: f64,
         out: &mut [f64],
     ) -> Result<(), SolveError> {
-        self.variant.accumulate(rows, lambda, &mut self.gram, &mut self.rhs);
-        self.variant.solve_in_place(&mut self.gram, &self.rhs, &mut self.y, out)
+        let (r, gram, rhs) = (self.r, &mut self.gram, &mut self.rhs);
+        self.variant.accumulate(rows, lambda, &mut gram[..r * r], &mut rhs[..r]);
+        self.variant.solve_in_place(&mut gram[..r * r], &rhs[..r], &mut self.y, out)
     }
 
     /// Solves one ridge unit whose design rows are the rows of `design`
-    /// named by `indices` with targets `values`: the per-unit step of an
-    /// ALS factor solve, shared by the full sweep and the serve path's
-    /// warm pass so the two produce bit-identical rows by construction. An empty unit (no observations) is driven to zero
-    /// by the regularizer, so `out` is filled with `0.0` directly.
+    /// named by `indices` with targets `values` — one lane of
+    /// [`GramScratch::accumulate_lane`] and [`GramScratch::solve_lanes`],
+    /// with the same bits. An empty unit (no observations) is driven to
+    /// zero by the regularizer, so `out` is filled with `0.0` directly.
     ///
     /// # Errors
     ///
@@ -387,6 +404,141 @@ impl GramScratch {
             out,
         )
     }
+
+    /// Accumulates one ridge unit — the rows of `design` named by
+    /// `indices`, with targets `values` — into lane `lane` of the batch
+    /// [`GramScratch::solve_lanes`] solves next. Together the two are
+    /// the ALS factor solve's per-unit step: the caller gathers a unit,
+    /// accumulates it, and may reuse its gather buffers for the next
+    /// lane, since a lane keeps only its `r × r` system.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane >= LANES`, `indices` and `values` disagree in
+    /// length, or an index is out of bounds for `design`.
+    pub fn accumulate_lane(
+        &mut self,
+        lane: usize,
+        design: &Matrix,
+        indices: &[u32],
+        values: &[f64],
+        lambda: f64,
+    ) {
+        assert_eq!(indices.len(), values.len(), "indices and values must pair up");
+        // An empty unit's row is zero by rule: there is nothing to
+        // accumulate, and `solve_lanes` ignores whatever its lane holds.
+        self.empty[lane] = indices.is_empty();
+        if self.empty[lane] {
+            return;
+        }
+        let rows = indices.iter().zip(values).map(|(&i, &v)| (design.row(i as usize), v));
+        match self.variant {
+            KernelVariant::Fixed4 => self.accumulate_fixed::<4>(rows, lambda, lane),
+            KernelVariant::Fixed8 => self.accumulate_fixed::<8>(rows, lambda, lane),
+            KernelVariant::Fixed16 => self.accumulate_fixed::<16>(rows, lambda, lane),
+            variant => {
+                let r = self.r;
+                let gram = &mut self.gram[lane * r * r..(lane + 1) * r * r];
+                variant.accumulate(rows, lambda, gram, &mut self.rhs[lane * r..(lane + 1) * r]);
+            }
+        }
+    }
+
+    /// Solves the first `out.len() / r` lanes accumulated by
+    /// [`GramScratch::accumulate_lane`], writing lane `k`'s solution to
+    /// `out[k·r..(k+1)·r]` — bit for bit what
+    /// [`GramScratch::solve_ridge_rows`] gives for that unit, zeros for
+    /// an empty one included. The fixed-rank variants factor the lanes
+    /// side by side ([`GramKernel::solve_lanes`]); the scalar and
+    /// unrolled variants solve them one after another. Empty units need
+    /// no factorization, so a batch of only empty units costs none: on
+    /// a sparse window most groups of columns are empty.
+    ///
+    /// # Errors
+    ///
+    /// When some lanes' systems are not positive definite, the smallest
+    /// such lane with its [`SolveError::NotPositiveDefinite`] — what a
+    /// one-unit-at-a-time loop would hit first. Every other lane's
+    /// solution is still written; a failed lane's row is unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len()` is not a multiple of the rank or holds
+    /// more than [`LANES`] rows.
+    pub fn solve_lanes(&mut self, out: &mut [f64]) -> Result<(), (usize, SolveError)> {
+        let r = self.r;
+        assert!(
+            out.len().is_multiple_of(r) && out.len() <= LANES * r,
+            "out must hold at most {LANES} rows of rank {r}"
+        );
+        let empty = self.empty;
+        let failed = match self.variant {
+            _ if empty[..out.len() / r].iter().all(|&e| e) => [None; LANES],
+            KernelVariant::Fixed4 => self.solve_fixed::<4>(out),
+            KernelVariant::Fixed8 => self.solve_fixed::<8>(out),
+            KernelVariant::Fixed16 => self.solve_fixed::<16>(out),
+            variant => {
+                let mut failed = [None; LANES];
+                for ((lane, row), fail) in out.chunks_exact_mut(r).enumerate().zip(&mut failed) {
+                    if empty[lane] {
+                        continue;
+                    }
+                    let gram = &mut self.gram[lane * r * r..(lane + 1) * r * r];
+                    let rhs = &self.rhs[lane * r..(lane + 1) * r];
+                    if let Err(SolveError::NotPositiveDefinite { index }) =
+                        variant.solve_in_place(gram, rhs, &mut self.y, row)
+                    {
+                        *fail = Some(index);
+                    }
+                }
+                failed
+            }
+        };
+        let mut first_failure = None;
+        for (lane, row) in out.chunks_exact_mut(r).enumerate() {
+            if empty[lane] {
+                row.fill(0.0);
+            } else if first_failure.is_none() {
+                first_failure = failed[lane].map(|index| (lane, index));
+            }
+        }
+        match first_failure {
+            Some((lane, index)) => Err((lane, SolveError::NotPositiveDefinite { index })),
+            None => Ok(()),
+        }
+    }
+
+    fn accumulate_fixed<'a, const R: usize>(
+        &mut self,
+        rows: impl Iterator<Item = (&'a [f64], f64)>,
+        lambda: f64,
+        lane: usize,
+    ) {
+        let (gram, rhs) = lane_batch::<R>(&mut self.gram, &mut self.rhs);
+        GramKernel::<R>::accumulate_lane(rows, lambda, lane, gram, rhs);
+    }
+
+    fn solve_fixed<const R: usize>(&mut self, out: &mut [f64]) -> [Option<usize>; LANES] {
+        let (gram, rhs) = lane_batch::<R>(&mut self.gram, &mut self.rhs);
+        let mut solution = [[0.0; LANES]; R];
+        let failed = GramKernel::<R>::solve_lanes(gram, rhs, &mut solution);
+        for (lane, row) in out.chunks_exact_mut(R).enumerate() {
+            for (slot, x) in row.iter_mut().zip(&solution) {
+                *slot = x[lane];
+            }
+        }
+        failed
+    }
+}
+
+/// Views a scratch's Gram and RHS storage as a rank-`R` lane batch.
+fn lane_batch<'a, const R: usize>(
+    gram: &'a mut [f64],
+    rhs: &'a mut [f64],
+) -> (&'a mut [[Lane; R]; R], &'a mut [Lane; R]) {
+    let gram = gram.as_chunks_mut::<LANES>().0.as_chunks_mut::<R>().0;
+    let rhs = rhs.as_chunks_mut::<LANES>().0;
+    (gram.try_into().expect("gram holds R×R lanes"), rhs.try_into().expect("rhs holds R lanes"))
 }
 
 /// Ridge regression via QR on the explicitly stacked system

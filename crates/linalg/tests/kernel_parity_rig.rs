@@ -326,3 +326,296 @@ fn kernel_override_controls_auto_selection() {
     }
     set_kernel_override(None);
 }
+
+// --- Lane batches ---------------------------------------------------
+//
+// `GramScratch::accumulate_lane` + `solve_lanes` solve up to four units
+// at once; at the fixed ranks the four Cholesky factorizations run side
+// by side in `[f64; 4]` lanes. The contract is the same 0-ulp one: each
+// lane's row, and the failing lane and pivot, are what four scalar
+// one-unit solves give.
+//
+// One carve-out: a NaN result matches a NaN result whatever its bits.
+// Rust (like LLVM) leaves the sign and payload of a NaN produced by
+// arithmetic unspecified — `a * b` may be emitted as `b * a`, and with
+// two different NaN operands the hardware returns the first — so NaN
+// bits are a property of one compilation, not of the kernel. In release
+// builds a lane's NaN does come out as 0xfff8… where the scalar kernel
+// gave 0x7ff8…. NaN-ness itself, every infinity and every finite bit
+// are still held exactly.
+
+use linalg::kernel::{GramKernel, Lane, LANES};
+use linalg::Matrix;
+
+/// One lane's unit: the design rows it observes (ascending) and their
+/// targets.
+type Unit = (Vec<u32>, Vec<f64>);
+
+/// Per-unit scalar reference: `solve_ridge_rows` (empty unit → zeros).
+fn scalar_units(
+    r: usize,
+    design: &Matrix,
+    units: &[Unit],
+    lambda: f64,
+) -> Vec<Result<Vec<f64>, SolveError>> {
+    let mut scratch = GramScratch::with_variant(r, KernelVariant::Scalar);
+    units
+        .iter()
+        .map(|(idx, val)| {
+            let mut out = vec![0.0; r];
+            scratch.solve_ridge_rows(design, idx, val, lambda, &mut out).map(|()| out)
+        })
+        .collect()
+}
+
+/// What a batch produced: every lane's row, and the reported failure.
+type BatchRun = (Vec<f64>, Result<(), (usize, SolveError)>);
+
+fn run_batch(
+    variant: KernelVariant,
+    r: usize,
+    design: &Matrix,
+    units: &[Unit],
+    lambda: f64,
+) -> BatchRun {
+    let mut scratch = GramScratch::with_variant(r, variant);
+    for (lane, (idx, val)) in units.iter().enumerate() {
+        scratch.accumulate_lane(lane, design, idx, val, lambda);
+    }
+    let mut rows = vec![f64::NAN; units.len() * r];
+    let outcome = scratch.solve_lanes(&mut rows);
+    (rows, outcome)
+}
+
+/// Holds a batch to the per-unit reference at 0 ulp: the smallest
+/// failing unit is the reported lane with the identical error, and
+/// every lane the reference solves carries its bits.
+fn compare_batch(
+    reference: &[Result<Vec<f64>, SolveError>],
+    (rows, outcome): &BatchRun,
+    r: usize,
+    max_ulps: u64,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let expected_failure =
+        reference.iter().enumerate().find_map(|(lane, res)| res.clone().err().map(|e| (lane, e)));
+    prop_assert_eq!(outcome.clone().err(), expected_failure, "{}: failure", label);
+    for (lane, res) in reference.iter().enumerate() {
+        if let Ok(expected) = res {
+            for (k, (e, g)) in expected.iter().zip(&rows[lane * r..(lane + 1) * r]).enumerate() {
+                let ulps = if e.is_nan() && g.is_nan() { 0 } else { ulp_distance(*e, *g) };
+                prop_assert!(
+                    ulps <= max_ulps,
+                    "{label}: lane {lane} solution[{k}] off by {ulps} ulps: {e:?} ({:#018x}) vs \
+                     {g:?} ({:#018x})",
+                    e.to_bits(),
+                    g.to_bits()
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// An adversarial design entry: moderate, ±1e±100, subnormal, or (for
+/// class 4, one draw in five) NaN or ±inf; class 5 mixes them all.
+fn draw_lane_value(rng: &mut StdRng, class: usize) -> f64 {
+    let pick = if class == 5 { rng.random_range(0..5usize) } else { class };
+    let sign = if rng.random_range(0..2usize) == 0 { 1.0 } else { -1.0 };
+    match pick {
+        0 => rng.random_range(-2.0..2.0),
+        1 => sign * rng.random_range(0.5..1.0) * 1e100,
+        2 => sign * rng.random_range(0.5..1.0) * 1e-100,
+        3 => rng.random_range(-1.0..1.0) * 1e-308,
+        _ => match rng.random_range(0..5usize) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            _ => rng.random_range(-2.0..2.0),
+        },
+    }
+}
+
+/// A design of `rows` drawn rows plus, last, a row whose final entry is
+/// exactly zero and the all-zero row (the λ = 0 singular cases), and
+/// `lanes` units of 0..=`max_obs` ascending observations each.
+fn draw_batch(
+    rng: &mut StdRng,
+    r: usize,
+    lanes: usize,
+    max_obs: usize,
+    class: usize,
+) -> (Matrix, Vec<Unit>) {
+    let rows = 12;
+    let mut design = Matrix::from_fn(rows + 2, r, |_, _| draw_lane_value(rng, class));
+    design.set(rows, r - 1, 0.0);
+    for k in 0..r {
+        design.set(rows + 1, k, 0.0);
+    }
+    let units = (0..lanes)
+        .map(|_| {
+            let count = rng.random_range(0..=max_obs);
+            let mut idx: Vec<u32> =
+                (0..count).map(|_| rng.random_range(0..rows as u32 + 2)).collect();
+            idx.sort_unstable();
+            let val = idx.iter().map(|_| draw_lane_value(rng, class)).collect();
+            (idx, val)
+        })
+        .collect();
+    (design, units)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Four-lane batches against four scalar one-unit solves at 0 ulp,
+    /// at ranks 4, 8 and 16 through every variant's batch entry point:
+    /// mixed observation counts (empty lanes included), partial groups
+    /// of 1–3 lanes, λ = 0 (singular systems land in any lane), and
+    /// NaN, ±inf, subnormal and ±1e±100 design values.
+    #[test]
+    fn lane_batches_match_scalar_unit_solves_bitwise(
+        rank_pick in 0usize..3,
+        lanes in 1usize..=LANES,
+        max_obs in 0usize..24,
+        lambda_class in 0usize..4,
+        value_class in 0usize..6,
+        seed in 0u64..(1 << 20),
+    ) {
+        let r = [4usize, 8, 16][rank_pick];
+        let lambda = [0.0, 1e-300, 0.5, 1e12][lambda_class];
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d);
+        let (design, units) = draw_batch(&mut rng, r, lanes, max_obs, value_class);
+        let reference = scalar_units(r, &design, &units, lambda);
+        for variant in KernelVariant::supported(r) {
+            let got = run_batch(variant, r, &design, &units, lambda);
+            let label = format!("variant {variant} r={r} lanes={lanes}");
+            compare_batch(&reference, &got, r, SHIPPED_MAX_ULPS, &label)?;
+        }
+    }
+}
+
+/// λ = 0 singular systems in each lane position: a unit that observes
+/// only the design row whose last entry is zero fails at the last
+/// pivot, a unit that observes only the zero row fails at pivot 0, and
+/// the batch must report the smallest failing lane with the scalar
+/// pivot — alone, and with the last lane failing too.
+#[test]
+fn singular_lanes_report_the_smallest_failing_lane() {
+    for r in [4usize, 8, 16] {
+        let design = Matrix::from_fn(r + 2, r, |i, k| match i {
+            _ if i < r && i == k => 1.0 + i as f64,
+            _ if i < r => 0.25,
+            _ if i == r && k + 1 < r => 1.0 + k as f64,
+            _ => 0.0,
+        });
+        let good: Unit = ((0..r as u32).collect(), (0..r).map(|k| k as f64 - 1.5).collect());
+        let singular: [Unit; 2] = [(vec![r as u32], vec![2.0]), (vec![r as u32 + 1], vec![3.0])];
+        for lane in 0..LANES {
+            let laters = if lane + 1 < LANES { vec![None, Some(LANES - 1)] } else { vec![None] };
+            for (bad, later) in
+                singular.iter().flat_map(|bad| laters.iter().map(move |&l| (bad, l)))
+            {
+                let units: Vec<Unit> = (0..LANES)
+                    .map(|l| if l == lane || Some(l) == later { bad.clone() } else { good.clone() })
+                    .collect();
+                let reference = scalar_units(r, &design, &units, 0.0);
+                assert!(reference[lane].is_err(), "r={r}: the singular unit solved");
+                for variant in KernelVariant::supported(r) {
+                    let got = run_batch(variant, r, &design, &units, 0.0);
+                    let label = format!("variant {variant} r={r} lane {lane} unit {bad:?}");
+                    compare_batch(&reference, &got, r, SHIPPED_MAX_ULPS, &label).unwrap();
+                    assert_eq!(got.1.unwrap_err().0, lane, "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// A lane batch straight through [`GramKernel`] with `solve` as the
+/// factor-and-substitute step, reported like `solve_lanes` reports.
+#[allow(clippy::type_complexity)]
+fn run_kernel_batch<const R: usize>(
+    solve: fn(&mut [[Lane; R]; R], &[Lane; R], &mut [Lane; R]) -> [Option<usize>; LANES],
+    design: &Matrix,
+    units: &[Unit],
+    lambda: f64,
+) -> BatchRun {
+    let (mut gram, mut rhs) = ([[[0.0; LANES]; R]; R], [[0.0; LANES]; R]);
+    for (lane, (idx, val)) in units.iter().enumerate() {
+        let rows = idx.iter().zip(val).map(|(&i, &v)| (design.row(i as usize), v));
+        GramKernel::<R>::accumulate_lane(rows, lambda, lane, &mut gram, &mut rhs);
+    }
+    let mut x = [[0.0; LANES]; R];
+    let failed = solve(&mut gram, &rhs, &mut x);
+    let rows = (0..units.len()).flat_map(|l| x.iter().map(move |xi| xi[l])).collect();
+    let first = failed[..units.len()].iter().enumerate().find_map(|(l, f)| f.map(|i| (l, i)));
+    (
+        rows,
+        first
+            .map_or(Ok(()), |(lane, index)| Err((lane, SolveError::NotPositiveDefinite { index }))),
+    )
+}
+
+/// [`GramKernel::solve_lanes`] with one subtraction reordered: the
+/// forward substitution folds its terms in descending `k`. (No pivot
+/// checks: the control runs on positive definite systems only.) The
+/// loops index like the shipped kernel's, on purpose.
+#[allow(clippy::needless_range_loop)]
+fn reordered_solve_lanes<const R: usize>(
+    gram: &mut [[Lane; R]; R],
+    rhs: &[Lane; R],
+    out: &mut [Lane; R],
+) -> [Option<usize>; LANES] {
+    for i in 0..R {
+        for j in 0..=i {
+            let mut sum = gram[i][j];
+            for k in 0..j {
+                sum = std::array::from_fn(|l| sum[l] - gram[i][k][l] * gram[j][k][l]);
+            }
+            gram[i][j] = if i == j {
+                std::array::from_fn(|l| sum[l].sqrt())
+            } else {
+                std::array::from_fn(|l| sum[l] / gram[j][j][l])
+            };
+        }
+    }
+    let mut y = [[0.0; LANES]; R];
+    for i in 0..R {
+        let mut acc = rhs[i];
+        for k in (0..i).rev() {
+            acc = std::array::from_fn(|l| acc[l] - gram[i][k][l] * y[k][l]);
+        }
+        y[i] = std::array::from_fn(|l| acc[l] / gram[i][i][l]);
+    }
+    for i in (0..R).rev() {
+        let mut acc = y[i];
+        for k in i + 1..R {
+            acc = std::array::from_fn(|l| acc[l] - gram[k][i][l] * out[k][l]);
+        }
+        out[i] = std::array::from_fn(|l| acc[l] / gram[i][i][l]);
+    }
+    [None; LANES]
+}
+
+/// Negative control for the lane rig: on 16 seeded rank-8 batches of
+/// moderate values at λ = 0.5, the shipped lane kernel driven the same
+/// way passes, while the kernel with one reordered subtraction must be
+/// caught by the 0-ulp comparator on every one of them.
+#[test]
+fn lane_rig_detects_a_reordered_subtraction() {
+    const R: usize = 8;
+    let mut caught = 0;
+    for seed in 0..16u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (design, units) = draw_batch(&mut rng, R, LANES, 2 * R, 0);
+        let reference = scalar_units(R, &design, &units, 0.5);
+        let shipped = run_kernel_batch::<R>(GramKernel::<R>::solve_lanes, &design, &units, 0.5);
+        compare_batch(&reference, &shipped, R, SHIPPED_MAX_ULPS, "shipped").unwrap();
+        let reordered = run_kernel_batch::<R>(reordered_solve_lanes::<R>, &design, &units, 0.5);
+        caught += usize::from(
+            compare_batch(&reference, &reordered, R, SHIPPED_MAX_ULPS, "reordered").is_err(),
+        );
+    }
+    assert_eq!(caught, 16, "the rig caught a reordered subtraction on only {caught} of 16 batches");
+}

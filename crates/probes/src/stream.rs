@@ -253,6 +253,14 @@ impl StreamingTcm {
         (&self.sums[row], &self.counts[row])
     }
 
+    /// Every window row's raw `(sums, counts)` slices, oldest slot
+    /// first — [`StreamingTcm::row_raw`] for each row in turn, without
+    /// indexing the ring per row, so a walk down one segment's column
+    /// costs two slice reads per cell.
+    pub fn rows_raw(&self) -> impl Iterator<Item = (&[f64], &[f64])> {
+        self.sums.iter().zip(&self.counts).map(|(s, c)| (s.as_slice(), c.as_slice()))
+    }
+
     /// Materializes the current window as a [`Tcm`] (row 0 = oldest slot
     /// in the window).
     pub fn snapshot(&self) -> Tcm {
@@ -296,6 +304,12 @@ mod tests {
         let (sums, counts) = s.row_raw(0);
         assert_eq!(sums, &[30.0, 0.0]);
         assert_eq!(counts, &[2.0, 0.0]);
+        // After a slide the rows still come oldest first.
+        s.observe(5 * 60, 1, 7.0).unwrap();
+        for (row, raw) in s.rows_raw().enumerate() {
+            assert_eq!(raw, s.row_raw(row), "row {row}");
+        }
+        assert_eq!(s.rows_raw().count(), 5);
     }
 
     #[test]
