@@ -170,13 +170,23 @@ fn bench_problem() -> (Tcm, CsConfig, bool) {
     (tcm, cfg, quick)
 }
 
-/// One measured run: wall time and allocation count.
-fn measure(f: impl FnOnce() -> Matrix) -> (f64, usize) {
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    black_box(f());
-    let secs = start.elapsed().as_secs_f64();
-    (secs, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
+/// Runs behind each row of `BENCH_als.json` outside `warm_pass`: a row
+/// is the median of this many runs, so one slow run on a shared host
+/// moves neither the artifact nor the `CS_BENCH_ENFORCE` gate.
+const RUNS: usize = 5;
+
+/// One measured row: the median wall time and the median allocation
+/// count of [`RUNS`] runs of `f`.
+fn measure(mut f: impl FnMut() -> Matrix) -> (f64, usize) {
+    let (mut secs, mut allocs) = (Vec::with_capacity(RUNS), Vec::with_capacity(RUNS));
+    for _ in 0..RUNS {
+        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+        let start = Instant::now();
+        black_box(f());
+        secs.push(start.elapsed().as_secs_f64());
+        allocs.push(ALLOCATIONS.load(Ordering::Relaxed) - allocs_before);
+    }
+    (median(secs), median(allocs))
 }
 
 /// Whether the `kernel` feature reached `linalg` through the dependency
@@ -217,8 +227,8 @@ fn bench_als_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Times `complete_matrix` with the kernel pinned to `variant`,
-/// restoring auto dispatch afterwards.
+/// Times `complete_matrix` with the kernel pinned to `variant` (see
+/// [`measure`]), restoring auto dispatch afterwards.
 fn measure_variant(tcm: &Tcm, cfg: &CsConfig, variant: KernelVariant) -> (f64, usize) {
     set_kernel_override(Some(variant));
     let out = measure(|| complete_matrix(tcm, cfg).unwrap());
@@ -261,8 +271,8 @@ struct PassTiming {
     allocations_per_pass: f64,
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
+fn median<T: Copy + PartialOrd>(mut xs: Vec<T>) -> T {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("timings and counts are ordered"));
     xs[xs.len() / 2]
 }
 
@@ -374,9 +384,8 @@ fn run_json(secs: f64, allocs: usize, sweeps: usize) -> Json {
 
 /// Appends one line to the tracked per-variant trajectory
 /// (`results/BENCH_als_trajectory.jsonl`, schema
-/// `cs-traffic-als-trajectory/v1`), mirroring the serve-load
-/// trajectory's role: `BENCH_als.json` is overwritten in place, the
-/// jsonl keeps the per-sweep history across commits.
+/// `cs-traffic-als-trajectory/v1`): `BENCH_als.json` is overwritten in
+/// place, the jsonl keeps the per-sweep history across commits.
 fn append_als_trajectory(
     dir: &std::path::Path,
     quick: bool,
@@ -398,6 +407,7 @@ fn append_als_trajectory(
         ("rank".into(), Json::Num(rank as f64)),
         ("threads".into(), Json::Num(1.0)),
         ("sweeps".into(), Json::Num(sweeps as f64)),
+        ("runs".into(), Json::Num(RUNS as f64)),
         ("baseline_per_sweep_ms".into(), Json::Num(baseline_secs * 1e3 / sweeps as f64)),
     ];
     for (variant, secs, _) in kernels {
@@ -419,10 +429,10 @@ fn append_als_trajectory(
 /// per-sweep wall time and allocation totals for the allocating
 /// baseline, the shipping auto-dispatched kernel, and every kernel
 /// variant that supports the bench rank, plus the resulting speedups.
-/// One deliberate single-shot run per path (criterion's statistics live
-/// in `target/criterion/als_kernel/`); the allocation counter doubles
-/// as the peak-RSS proxy — the baseline's churn is the resident-set
-/// pressure the kernel path removes.
+/// Each path's row is the median of [`RUNS`] runs, recorded as `runs`
+/// (criterion's statistics live in `target/criterion/als_kernel/`); the
+/// allocation counter doubles as the peak-RSS proxy — the baseline's
+/// churn is the resident-set pressure the kernel path removes.
 ///
 /// Returns `false` when `CS_BENCH_ENFORCE` is set and the fixed-rank
 /// kernel came out slower than the scalar reference, per sweep or per
@@ -474,6 +484,7 @@ fn write_bench_json() -> bool {
         ("integrity".into(), Json::Num(0.2)),
         ("observed".into(), Json::Num(tcm.observed_count() as f64)),
         ("sweeps".into(), Json::Num(sweeps as f64)),
+        ("runs".into(), Json::Num(RUNS as f64)),
         ("threads".into(), Json::Num(1.0)),
         ("baseline".into(), run_json(base_secs, base_allocs, sweeps)),
         ("gram_kernel".into(), run_json(kern_secs, kern_allocs, sweeps)),

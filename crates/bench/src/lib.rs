@@ -19,6 +19,5 @@
 
 pub mod datasets;
 pub mod experiments;
-pub mod loadgen;
 pub mod report;
 pub mod slo;

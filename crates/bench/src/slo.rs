@@ -1,33 +1,40 @@
-//! Checked-in latency/throughput SLOs and the CI gate that enforces
-//! them.
+//! Checked-in collapse ceilings for the serve path and the CI gate that
+//! enforces them on servebench's result line.
 //!
-//! `results/SLO.toml` is the single reviewable home of the `serve-load`
-//! budgets: tightening an SLO is a one-line diff there, not a code
-//! change. The file is a small TOML subset parsed by [`parse_slo`] —
-//! hand-rolled like the rest of the workspace (comments, `[section]`
-//! headers, and `key = value` scalars; no arrays, no nesting):
+//! `results/SLO.toml` is the single reviewable home of the ceilings:
+//! moving one is a one-line diff there, not a code change. The file is
+//! a small TOML subset parsed by [`parse_slo`] — hand-rolled like the
+//! rest of the workspace (comments, `[section]` headers, and
+//! `key = value` scalars; no arrays, no nesting). One section per
+//! servebench workload, each capping that workload's `fresh_p90_ms`:
 //!
 //! ```toml
-//! schema = "cs-traffic-slo/v1"
+//! schema = "cs-traffic-slo/v2"
 //!
-//! [budget]            # per-leg sustainability criterion
-//! tick_p99_us = 250000.0
-//! solve_p99_us = 250000.0
-//! drop_rate = 0.02
+//! [dense-core]
+//! fresh_p90_ms = 100.0
 //!
-//! [baseline]          # regression gate vs. the recorded trajectory
-//! max_sustainable_rate = 400.0
-//! tick_p99_us = 60000.0
-//! regress_tolerance = 0.20
+//! [metro-sparse]
+//! fresh_p90_ms = 50.0
+//!
+//! [wire-mixed]
+//! fresh_p90_ms = 80.0
 //! ```
 //!
-//! [`gate`] compares a fresh `BENCH_serve.json` against both sections:
-//! absolute budget violations and >`regress_tolerance` regressions
-//! against the baseline each produce one human-readable violation line
-//! naming the measured and allowed values.
+//! [`gate`] reads the last line of a `servebench --workload all` run:
+//! it must say `"correct": true`, and every `<workload>/fresh_p90_ms`
+//! must be at or under its ceiling. Each breach produces one
+//! human-readable violation line naming the workload and the metric.
 
-use crate::loadgen::SloBudget;
 use std::path::Path;
+use telemetry::json::Json;
+
+/// The workloads a `servebench --workload all` line reports, each with
+/// its own `[section]` in the SLO file.
+pub const WORKLOADS: [&str; 3] = ["dense-core", "metro-sparse", "wire-mixed"];
+
+/// The metric each workload section caps.
+pub const METRIC: &str = "fresh_p90_ms";
 
 /// Parse failure: 1-based line and what was wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,25 +53,12 @@ impl std::fmt::Display for SloError {
 
 impl std::error::Error for SloError {}
 
-/// The `[baseline]` section: the recorded trajectory the gate protects.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloBaseline {
-    /// Max sustainable throughput the trajectory last recorded
-    /// (reports per simulated second).
-    pub max_sustainable_rate: f64,
-    /// Tick p99 the trajectory last recorded (µs).
-    pub tick_p99_us: f64,
-    /// Allowed relative regression before the gate fails (0.20 = 20 %).
-    pub regress_tolerance: f64,
-}
-
-/// The parsed SLO file: per-leg budget plus regression baseline.
+/// The parsed SLO file: one collapse ceiling per workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slo {
-    /// Per-leg sustainability budget (drives the throughput search).
-    pub budget: SloBudget,
-    /// Regression gate against the recorded trajectory.
-    pub baseline: SloBaseline,
+    /// Ceiling on `<workload>/fresh_p90_ms` (ms), indexed like
+    /// [`WORKLOADS`].
+    pub fresh_p90_ms: [f64; WORKLOADS.len()],
 }
 
 /// Parses the TOML subset described in the [module docs](self).
@@ -75,9 +69,9 @@ pub struct Slo {
 /// unknown section/key, duplicate key, or missing required key.
 pub fn parse_slo(text: &str) -> Result<Slo, SloError> {
     let err = |line: usize, msg: String| SloError { line, msg };
-    let mut section = String::new();
-    // (section, key) -> (line, value)
-    let mut values: Vec<(String, String, usize, f64)> = Vec::new();
+    // Index into WORKLOADS of the current section.
+    let mut section: Option<usize> = None;
+    let mut ceilings = [None; WORKLOADS.len()];
     let mut schema_seen = false;
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -90,25 +84,29 @@ pub fn parse_slo(text: &str) -> Result<Slo, SloError> {
                 .strip_suffix(']')
                 .ok_or_else(|| err(lineno, "unterminated section header".into()))?
                 .trim();
-            if name != "budget" && name != "baseline" {
-                return Err(err(lineno, format!("unknown section '[{name}]'")));
-            }
-            section = name.to_string();
+            let w = WORKLOADS
+                .iter()
+                .position(|&w| w == name)
+                .ok_or_else(|| err(lineno, format!("unknown section '[{name}]'")))?;
+            section = Some(w);
             continue;
         }
         let (key, value) =
             line.split_once('=').ok_or_else(|| err(lineno, "expected 'key = value'".into()))?;
         let (key, value) = (key.trim(), value.trim());
-        if section.is_empty() {
+        let Some(w) = section else {
             // Only the schema marker lives at top level.
             if key != "schema" {
                 return Err(err(lineno, format!("key '{key}' outside any section")));
             }
-            if value.trim_matches('"') != "cs-traffic-slo/v1" {
+            if value.trim_matches('"') != "cs-traffic-slo/v2" {
                 return Err(err(lineno, format!("unsupported schema {value}")));
             }
             schema_seen = true;
             continue;
+        };
+        if key != METRIC {
+            return Err(err(lineno, format!("unknown key '{key}' in [{}]", WORKLOADS[w])));
         }
         let num: f64 = value
             .parse()
@@ -116,42 +114,19 @@ pub fn parse_slo(text: &str) -> Result<Slo, SloError> {
         if !num.is_finite() || num < 0.0 {
             return Err(err(lineno, format!("'{key}' must be finite and non-negative")));
         }
-        if values.iter().any(|(s, k, _, _)| s == &section && k == key) {
-            return Err(err(lineno, format!("duplicate key '{key}' in [{section}]")));
+        if ceilings[w].replace(num).is_some() {
+            return Err(err(lineno, format!("duplicate key '{key}' in [{}]", WORKLOADS[w])));
         }
-        values.push((section.clone(), key.to_string(), lineno, num));
     }
     if !schema_seen {
-        return Err(err(0, "missing 'schema = \"cs-traffic-slo/v1\"' marker".into()));
+        return Err(err(0, "missing 'schema = \"cs-traffic-slo/v2\"' marker".into()));
     }
-    let take = |section: &str, key: &str| -> Result<f64, SloError> {
-        values
-            .iter()
-            .find(|(s, k, _, _)| s == section && k == key)
-            .map(|&(_, _, _, v)| v)
-            .ok_or_else(|| err(0, format!("missing key '{key}' in [{section}]")))
-    };
-    for (s, k, line, _) in &values {
-        let known: &[&str] = match s.as_str() {
-            "budget" => &["tick_p99_us", "solve_p99_us", "drop_rate"],
-            _ => &["max_sustainable_rate", "tick_p99_us", "regress_tolerance"],
-        };
-        if !known.contains(&k.as_str()) {
-            return Err(err(*line, format!("unknown key '{k}' in [{s}]")));
-        }
+    let mut fresh_p90_ms = [0.0; WORKLOADS.len()];
+    for (w, ceiling) in ceilings.iter().enumerate() {
+        fresh_p90_ms[w] = ceiling
+            .ok_or_else(|| err(0, format!("missing key '{METRIC}' in [{}]", WORKLOADS[w])))?;
     }
-    Ok(Slo {
-        budget: SloBudget {
-            tick_p99_us: take("budget", "tick_p99_us")?,
-            solve_p99_us: take("budget", "solve_p99_us")?,
-            drop_rate: take("budget", "drop_rate")?,
-        },
-        baseline: SloBaseline {
-            max_sustainable_rate: take("baseline", "max_sustainable_rate")?,
-            tick_p99_us: take("baseline", "tick_p99_us")?,
-            regress_tolerance: take("baseline", "regress_tolerance")?,
-        },
-    })
+    Ok(Slo { fresh_p90_ms })
 }
 
 /// Reads and parses an SLO file.
@@ -166,102 +141,31 @@ pub fn load_slo(path: &Path) -> Result<Slo, SloError> {
     parse_slo(&text)
 }
 
-/// The numbers the gate compares — extracted from a fresh
-/// `BENCH_serve.json` (or straight from an in-memory search).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateInputs {
-    /// Best passing leg's tick p99 (µs).
-    pub tick_p99_us: f64,
-    /// Best passing leg's solve p99 (µs).
-    pub solve_p99_us: f64,
-    /// Best passing leg's queue-drop fraction.
-    pub drop_rate: f64,
-    /// Binary-searched max sustainable throughput.
-    pub max_sustainable_rate: f64,
+/// `<workload>/fresh_p90_ms` of a parsed `servebench --workload all`
+/// result line, if the line carries it.
+pub fn fresh_p90_ms(result: &Json, workload: &str) -> Option<f64> {
+    let metric = result.get("metrics")?.get(&format!("{workload}/{METRIC}"))?;
+    metric.get("value")?.as_num()
 }
 
-impl GateInputs {
-    /// Extracts the gated numbers from a parsed `BENCH_serve.json`
-    /// (schema `cs-traffic-bench-serve/v1`, `/v2`, or `/v3` — the v2/v3
-    /// additions, solve-path counters, the `scale` curve, and the
-    /// `socket` leg, are not gated: the in-process leg stays the
-    /// baseline the SLO compares against).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming the missing/mistyped field or a
-    /// schema mismatch.
-    pub fn from_bench_serve(doc: &telemetry::json::Json) -> Result<Self, String> {
-        match doc.get("schema").and_then(|s| s.as_str()) {
-            Some(
-                "cs-traffic-bench-serve/v1"
-                | "cs-traffic-bench-serve/v2"
-                | "cs-traffic-bench-serve/v3",
-            ) => {}
-            Some(other) => return Err(format!("unsupported schema '{other}'")),
-            None => return Err("missing 'schema' field".into()),
-        }
-        let num = |path: &[&str]| -> Result<f64, String> {
-            let mut cur = doc;
-            for key in path {
-                cur = cur.get(key).ok_or_else(|| format!("missing field '{}'", path.join(".")))?;
-            }
-            cur.as_num().ok_or_else(|| format!("field '{}' is not a number", path.join(".")))
-        };
-        Ok(Self {
-            tick_p99_us: num(&["leg", "tick_us", "p99"])?,
-            solve_p99_us: num(&["leg", "solve_us", "p99"])?,
-            drop_rate: num(&["leg", "drop_rate"])?,
-            max_sustainable_rate: num(&["max_sustainable_rate"])?,
-        })
-    }
-}
-
-/// Applies the SLO gate. Returns one violation line per breached
-/// budget or regression; empty means the gate passes.
-pub fn gate(slo: &Slo, fresh: &GateInputs) -> Vec<String> {
+/// Applies the SLO gate to a parsed `servebench --workload all` result
+/// line. Returns one violation line per breach, each naming the
+/// workload and the metric; empty means the gate passes.
+pub fn gate(slo: &Slo, result: &Json) -> Vec<String> {
     let mut violations = Vec::new();
-    let b = &slo.budget;
-    if fresh.tick_p99_us > b.tick_p99_us {
+    if !matches!(result.get("correct"), Some(Json::Bool(true))) {
         violations.push(format!(
-            "tick p99 {:.0}us exceeds the {:.0}us budget",
-            fresh.tick_p99_us, b.tick_p99_us
+            "{}: correct is not true (servebench names the failed check above its result line)",
+            WORKLOADS.join(", ")
         ));
     }
-    if fresh.solve_p99_us > b.solve_p99_us {
-        violations.push(format!(
-            "solve p99 {:.0}us exceeds the {:.0}us budget",
-            fresh.solve_p99_us, b.solve_p99_us
-        ));
-    }
-    if fresh.drop_rate > b.drop_rate {
-        violations.push(format!(
-            "queue-drop rate {:.4} exceeds the {:.4} budget",
-            fresh.drop_rate, b.drop_rate
-        ));
-    }
-    let base = &slo.baseline;
-    let tol = base.regress_tolerance;
-    let lat_ceiling = base.tick_p99_us * (1.0 + tol);
-    if fresh.tick_p99_us > lat_ceiling {
-        violations.push(format!(
-            "tick p99 regressed: {:.0}us vs baseline {:.0}us (+{:.0}% tolerance allows {:.0}us)",
-            fresh.tick_p99_us,
-            base.tick_p99_us,
-            tol * 100.0,
-            lat_ceiling
-        ));
-    }
-    let rate_floor = base.max_sustainable_rate * (1.0 - tol);
-    if fresh.max_sustainable_rate < rate_floor {
-        violations.push(format!(
-            "max sustainable throughput regressed: {:.1}/s vs baseline {:.1}/s \
-             (-{:.0}% tolerance requires >= {:.1}/s)",
-            fresh.max_sustainable_rate,
-            base.max_sustainable_rate,
-            tol * 100.0,
-            rate_floor
-        ));
+    for (w, &ceiling) in WORKLOADS.iter().zip(&slo.fresh_p90_ms) {
+        match fresh_p90_ms(result, w) {
+            None => violations.push(format!("{w}/{METRIC}: missing from the result line")),
+            Some(v) if v > ceiling => violations
+                .push(format!("{w}/{METRIC}: {v:.3} ms exceeds the {ceiling:.3} ms ceiling")),
+            Some(_) => {}
+        }
     }
     violations
 }
@@ -271,109 +175,94 @@ mod tests {
     use super::*;
 
     const GOOD: &str = r#"
-schema = "cs-traffic-slo/v1"
+schema = "cs-traffic-slo/v2"
 
-# budgets
-[budget]
-tick_p99_us = 1000.0   # generous
-solve_p99_us = 900.0
-drop_rate = 0.02
+# ceilings
+[dense-core]
+fresh_p90_ms = 100.0   # generous
 
-[baseline]
-max_sustainable_rate = 100.0
-tick_p99_us = 500.0
-regress_tolerance = 0.20
+[metro-sparse]
+fresh_p90_ms = 50.0
+
+[wire-mixed]
+fresh_p90_ms = 80.0
 "#;
 
     #[test]
     fn parses_the_reference_file() {
         let slo = parse_slo(GOOD).unwrap();
-        assert_eq!(slo.budget.tick_p99_us, 1000.0);
-        assert_eq!(slo.budget.drop_rate, 0.02);
-        assert_eq!(slo.baseline.max_sustainable_rate, 100.0);
-        assert_eq!(slo.baseline.regress_tolerance, 0.20);
+        assert_eq!(slo.fresh_p90_ms, [100.0, 50.0, 80.0]);
+        let tracked = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/SLO.toml");
+        load_slo(Path::new(tracked)).unwrap();
     }
 
     #[test]
     fn rejects_malformed_lines_with_line_numbers() {
         let cases: &[(&str, usize)] = &[
-            ("schema = \"cs-traffic-slo/v1\"\n[budget\n", 2),
-            ("schema = \"cs-traffic-slo/v1\"\n[typo]\n", 2),
-            ("schema = \"cs-traffic-slo/v1\"\n[budget]\nnonsense\n", 3),
-            ("schema = \"cs-traffic-slo/v1\"\n[budget]\ntick_p99_us = soon\n", 3),
-            ("schema = \"cs-traffic-slo/v1\"\n[budget]\ntick_p99_us = -1\n", 3),
-            ("schema = \"cs-traffic-slo/v1\"\n[budget]\nwrong_key = 1\n", 3),
-            ("schema = \"cs-traffic-slo/v1\"\nstray = 1\n", 2),
-            ("schema = \"cs-traffic-slo/v2\"\n", 1),
-            ("schema = \"cs-traffic-slo/v1\"\n[budget]\ndrop_rate = 1\ndrop_rate = 2\n", 4),
+            ("schema = \"cs-traffic-slo/v2\"\n[dense-core\n", 2),
+            ("schema = \"cs-traffic-slo/v2\"\n[typo]\n", 2),
+            ("schema = \"cs-traffic-slo/v2\"\n[dense-core]\nnonsense\n", 3),
+            ("schema = \"cs-traffic-slo/v2\"\n[dense-core]\nfresh_p90_ms = soon\n", 3),
+            ("schema = \"cs-traffic-slo/v2\"\n[dense-core]\nfresh_p90_ms = -1\n", 3),
+            ("schema = \"cs-traffic-slo/v2\"\n[dense-core]\nwrong_key = 1\n", 3),
+            ("schema = \"cs-traffic-slo/v2\"\nstray = 1\n", 2),
+            ("schema = \"cs-traffic-slo/v1\"\n", 1),
+            ("schema = \"cs-traffic-slo/v2\"\n[wire-mixed]\nfresh_p90_ms = 1\nfresh_p90_ms = 2\n", 4),
+            // The previous schema's sections and keys are unknown now.
+            ("schema = \"cs-traffic-slo/v2\"\n[budget]\ntick_p99_us = 1\n", 2),
+            ("schema = \"cs-traffic-slo/v2\"\n[metro-sparse]\nfresh_p50_ms = 1\n", 3),
+            ("schema = \"cs-traffic-slo/v2\"\n[wire-mixed]\nfresh_p90_ms = inf\n", 3),
+            // Sections are per workload: a repeated one still holds one key.
+            ("schema = \"cs-traffic-slo/v2\"\n[dense-core]\nfresh_p90_ms = 1\n[dense-core]\nfresh_p90_ms = 2\n", 5),
         ];
         for (text, line) in cases {
             let e = parse_slo(text).unwrap_err();
             assert_eq!(e.line, *line, "{text:?} -> {e}");
         }
         // Missing schema and missing keys are file-level (line 0).
-        assert_eq!(parse_slo("[budget]\ntick_p99_us = 1\n").unwrap_err().line, 0);
-        assert_eq!(parse_slo(GOOD.replace("drop_rate = 0.02", "").as_str()).unwrap_err().line, 0);
+        assert_eq!(parse_slo("[dense-core]\nfresh_p90_ms = 1\n").unwrap_err().line, 0);
+        let e = parse_slo(&GOOD.replace("fresh_p90_ms = 50.0", "")).unwrap_err();
+        assert_eq!(e.line, 0);
+        assert!(e.msg.contains("[metro-sparse]"), "{e}");
+    }
+
+    /// A `servebench --workload all` result line with the given
+    /// `correct` flag and `fresh_p90_ms` per workload (`None` leaves the
+    /// metric out).
+    fn result_line(correct: bool, p90: [Option<f64>; 3]) -> Json {
+        let mut metrics = String::new();
+        for (w, v) in WORKLOADS.iter().zip(p90) {
+            metrics += &format!(r#""{w}/fresh_p50_ms":{{"value":1.0,"unit":"ms"}},"#);
+            if let Some(v) = v {
+                metrics += &format!(r#""{w}/{METRIC}":{{"value":{v},"unit":"ms"}},"#);
+            }
+        }
+        let line = format!(
+            r#"{{"correct":{correct},"attempted":100,"failed":0,"metrics":{{{}}}}}"#,
+            metrics.trim_end_matches(',')
+        );
+        Json::parse(&line).unwrap()
     }
 
     #[test]
-    fn extracts_gate_inputs_from_bench_serve_json() {
-        let doc = telemetry::json::Json::parse(
-            r#"{"schema":"cs-traffic-bench-serve/v1","max_sustainable_rate":123.5,
-                "leg":{"drop_rate":0.01,
-                       "tick_us":{"p50":10.0,"p99":42.0,"p999":50.0},
-                       "solve_us":{"p50":5.0,"p99":21.0,"p999":30.0}}}"#,
-        )
-        .unwrap();
-        let g = GateInputs::from_bench_serve(&doc).unwrap();
-        assert_eq!(g.tick_p99_us, 42.0);
-        assert_eq!(g.solve_p99_us, 21.0);
-        assert_eq!(g.drop_rate, 0.01);
-        assert_eq!(g.max_sustainable_rate, 123.5);
-
-        // v2 (solve counters + scale curve) carries the same gated
-        // numbers in the same places.
-        let v2 = telemetry::json::Json::parse(
-            r#"{"schema":"cs-traffic-bench-serve/v2","max_sustainable_rate":123.5,
-                "scale":[],
-                "leg":{"drop_rate":0.01,
-                       "tick_us":{"p50":10.0,"p99":42.0,"p999":50.0},
-                       "solve_us":{"p50":5.0,"p99":21.0,"p999":30.0}}}"#,
-        )
-        .unwrap();
-        assert_eq!(GateInputs::from_bench_serve(&v2).unwrap(), g);
-
-        let bad = telemetry::json::Json::parse(r#"{"schema":"nope"}"#).unwrap();
-        assert!(GateInputs::from_bench_serve(&bad).unwrap_err().contains("unsupported schema"));
-        let missing =
-            telemetry::json::Json::parse(r#"{"schema":"cs-traffic-bench-serve/v1"}"#).unwrap();
-        assert!(GateInputs::from_bench_serve(&missing).unwrap_err().contains("missing field"));
-    }
-
-    #[test]
-    fn gate_passes_and_fails_each_axis() {
+    fn gate_passes_and_names_each_failure() {
         let slo = parse_slo(GOOD).unwrap();
-        let ok = GateInputs {
-            tick_p99_us: 500.0,
-            solve_p99_us: 400.0,
-            drop_rate: 0.0,
-            max_sustainable_rate: 100.0,
-        };
-        assert!(gate(&slo, &ok).is_empty());
+        let ok = [Some(10.8), Some(5.5), Some(80.0)];
+        assert!(gate(&slo, &result_line(true, ok)).is_empty(), "at the ceiling passes");
 
-        // Each axis alone produces exactly its violation.
-        let v = gate(&slo, &GateInputs { tick_p99_us: 1500.0, ..ok });
-        assert_eq!(v.len(), 2, "budget + regression: {v:?}"); // 1500 > 1000 and > 500*1.2
-        let v = gate(&slo, &GateInputs { solve_p99_us: 901.0, ..ok });
-        assert_eq!(v.len(), 1, "{v:?}");
-        let v = gate(&slo, &GateInputs { drop_rate: 0.03, ..ok });
-        assert_eq!(v.len(), 1, "{v:?}");
-        let v = gate(&slo, &GateInputs { max_sustainable_rate: 79.9, ..ok });
-        assert_eq!(v.len(), 1, "{v:?}");
-        // Within tolerance: 80.0 >= 100*0.8 passes.
-        assert!(gate(&slo, &GateInputs { max_sustainable_rate: 80.0, ..ok }).is_empty());
-        // Latency within the 20% band over baseline passes the
-        // regression check (and the absolute budget).
-        assert!(gate(&slo, &GateInputs { tick_p99_us: 599.0, ..ok }).is_empty());
+        let cases: &[(bool, [Option<f64>; 3], &str)] = &[
+            (true, [Some(10.8), Some(50.1), Some(8.0)], "metro-sparse/fresh_p90_ms: 50.100 ms"),
+            (true, [Some(10.8), Some(5.5), None], "wire-mixed/fresh_p90_ms: missing"),
+            (false, ok, "dense-core, metro-sparse, wire-mixed: correct is not true"),
+        ];
+        for (correct, p90, named) in cases {
+            let v = gate(&slo, &result_line(*correct, *p90));
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(v[0].starts_with(named), "{v:?} should name {named:?}");
+        }
+        // A single-workload line has no `<workload>/` prefixes: every
+        // workload's metric is missing.
+        let single = Json::parse(r#"{"correct":true,"metrics":{"fresh_p90_ms":{"value":1}}}"#);
+        assert_eq!(gate(&slo, &single.unwrap()).len(), 3);
     }
 }

@@ -873,196 +873,6 @@ fn inspect_expose<W: Write>(path: &Path, w: &mut W) -> CliResult {
     Ok(())
 }
 
-/// Options for [`cmd_loadtest`], mirroring the `loadtest` flags.
-#[derive(Debug, Clone)]
-pub struct LoadtestOptions {
-    /// Geometry preset: `"quick"` (CI smoke) or `"full"`.
-    pub profile: String,
-    /// Stream seed — same seed, same offered stream, any thread count.
-    pub seed: u64,
-    /// Run a single leg at this offered rate instead of searching.
-    pub rate: Option<f64>,
-    /// Override the preset's measured ticks per leg.
-    pub ticks: Option<usize>,
-    /// Cap on search legs.
-    pub max_legs: usize,
-    /// `"in-process"` (default) or `"socket"` — the latter replays the
-    /// best leg through a live loopback daemon and records the
-    /// client-observed e2e quantiles into the artifact's `socket`
-    /// section.
-    pub transport: String,
-    /// Shard workers for the socket leg (ignored in-process).
-    pub shards: usize,
-    /// Where to write `BENCH_serve.json` (skipped when `None`).
-    pub out: Option<std::path::PathBuf>,
-    /// SLO file; when set, the run is gated against `[budget]` and
-    /// `[baseline]` and violations exit 70.
-    pub slo: Option<std::path::PathBuf>,
-}
-
-impl Default for LoadtestOptions {
-    fn default() -> Self {
-        Self {
-            profile: "quick".into(),
-            seed: 42,
-            rate: None,
-            ticks: None,
-            max_legs: 12,
-            transport: "in-process".into(),
-            shards: 2,
-            out: None,
-            slo: None,
-        }
-    }
-}
-
-/// `loadtest`: closed-loop load generation against the in-process
-/// streaming service — the CLI face of `cs_bench::loadgen`, so "how
-/// fast does serving go on this box" needs no bench harness.
-///
-/// Searches for the maximum sustainable throughput (or measures one
-/// `--rate` leg), prints per-leg lines and a summary, optionally
-/// writes the `cs-traffic-bench-serve/v3` artifact, and — when an SLO
-/// file is given — applies [`cs_bench::slo::gate`]. With
-/// `--transport socket` the best leg is additionally replayed through
-/// a live loopback daemon ([`cs_bench::loadgen::run_leg_socket`]); the
-/// in-process leg stays the number the SLO gate reads.
-///
-/// # Errors
-///
-/// [`CliError::Usage`] for unknown profiles/transports and bad
-/// geometry, [`CliError::Input`] for an unreadable/invalid SLO file,
-/// [`CliError::Algorithm`] when the SLO gate reports violations, and
-/// [`CliError::Io`] if the artifact cannot be written or the socket
-/// leg's daemon fails.
-pub fn cmd_loadtest<W: Write>(opts: &LoadtestOptions, mut w: W) -> CliResult {
-    use cs_bench::loadgen::{self, LoadConfig, SloBudget};
-    use cs_bench::slo::{self, GateInputs};
-
-    let mut cfg = match opts.profile.as_str() {
-        "quick" => LoadConfig::quick(opts.seed),
-        "full" => LoadConfig::full(opts.seed),
-        other => {
-            return Err(CliError::Usage(format!("unknown profile '{other}' (expected quick|full)")))
-        }
-    };
-    if !matches!(opts.transport.as_str(), "in-process" | "socket") {
-        return Err(CliError::Usage(format!(
-            "unknown transport '{}' (expected in-process|socket)",
-            opts.transport
-        )));
-    }
-    if let Some(ticks) = opts.ticks {
-        cfg.ticks = ticks;
-    }
-
-    let slo = opts
-        .slo
-        .as_deref()
-        .map(slo::load_slo)
-        .transpose()
-        .map_err(|e| CliError::Input(e.to_string()))?;
-    let budget = slo.map_or_else(SloBudget::default, |s| s.budget);
-
-    let start = opts.rate.unwrap_or(if opts.profile == "quick" { 200.0 } else { 2_000.0 });
-    let max_legs = if opts.rate.is_some() { 1 } else { opts.max_legs };
-    let search = loadgen::search_max_rate(&cfg, &budget, start, max_legs)
-        .map_err(|e| CliError::Usage(e.to_string()))?;
-
-    for leg in &search.legs {
-        writeln!(
-            w,
-            "leg rate={:8.1}/s  tick_p99={:8.0}us  drop={:.4}  {}",
-            leg.rate,
-            leg.tick_p99_us,
-            leg.drop_rate,
-            if leg.passed { "pass" } else { "FAIL" }
-        )?;
-    }
-    let best = &search.best;
-    writeln!(
-        w,
-        "max_sustainable_rate={:.1}/s offered={:.1}/s achieved={:.1}/s \
-         tick_us p50/p99/p999={:.0}/{:.0}/{:.0} solve_us p99={:.0} \
-         drop_rate={:.4} stream={:016x}",
-        search.max_sustainable_rate,
-        best.offered_rate,
-        best.achieved_rate,
-        best.tick_us.p50,
-        best.tick_us.p99,
-        best.tick_us.p999,
-        best.solve_us.p99,
-        best.drop_rate,
-        best.stream_hash,
-    )?;
-
-    let socket = if opts.transport == "socket" {
-        let leg = loadgen::run_leg_socket(&cfg, search.best.offered_rate, opts.shards)
-            .map_err(|e| CliError::Io(format!("socket leg failed: {e}")))?;
-        writeln!(
-            w,
-            "socket shards={} offered={:.1}/s achieved={:.1}/s \
-                 e2e_us p50/p99/p999={:.0}/{:.0}/{:.0} stream={:016x}{}",
-            leg.shards,
-            leg.offered_rate,
-            leg.achieved_rate,
-            leg.e2e_us.p50,
-            leg.e2e_us.p99,
-            leg.e2e_us.p999,
-            leg.stream_hash,
-            if leg.stream_hash == search.best.stream_hash {
-                ""
-            } else {
-                " (HASH MISMATCH vs in-process leg)"
-            },
-        )?;
-        // The wire path must replay the exact in-process stream; a
-        // diverging witness hash is a determinism violation, the same
-        // class of failure as a chaos oracle trip.
-        if leg.stream_hash != search.best.stream_hash {
-            return Err(CliError::Algorithm(format!(
-                "socket leg stream hash {:016x} != in-process {:016x}; reproduce with: \
-                 cs-traffic-cli loadtest --profile {} --seed {} --transport socket --shards {}",
-                leg.stream_hash, search.best.stream_hash, opts.profile, opts.seed, opts.shards,
-            )));
-        }
-        Some(leg)
-    } else {
-        None
-    };
-
-    if let Some(out) = &opts.out {
-        let quick = opts.profile == "quick";
-        // The CLI wrapper never runs the grid sweep — `scale` is the
-        // loadgen binary's profile — so the curve is empty here.
-        loadgen::write_bench_serve_json(out, &cfg, &search, &[], socket.as_ref(), quick)
-            .map_err(|e| CliError::Io(format!("cannot write {}: {e}", out.display())))?;
-        writeln!(w, "wrote {}", out.display())?;
-    }
-
-    if let Some(slo) = slo {
-        let fresh = GateInputs {
-            tick_p99_us: best.tick_us.p99,
-            solve_p99_us: best.solve_us.p99,
-            drop_rate: best.drop_rate,
-            max_sustainable_rate: search.max_sustainable_rate,
-        };
-        let violations = slo::gate(&slo, &fresh);
-        if !violations.is_empty() {
-            return Err(CliError::Algorithm(format!(
-                "SLO gate failed: {}; reproduce with: cs-traffic-cli loadtest --profile {} \
-                 --seed {} --slo {}",
-                violations.join("; "),
-                opts.profile,
-                opts.seed,
-                opts.slo.as_deref().map(Path::display).map(|d| d.to_string()).unwrap_or_default(),
-            )));
-        }
-        writeln!(w, "SLO gate: pass")?;
-    }
-    Ok(())
-}
-
 /// Options for [`cmd_daemon`].
 #[derive(Debug, Clone)]
 pub struct DaemonOptions {

@@ -12,14 +12,13 @@
 
 use cs_traffic_cli::{
     cmd_analyze, cmd_build_tcm, cmd_chaos, cmd_chaos_net, cmd_daemon, cmd_daemon_client,
-    cmd_detect, cmd_estimate, cmd_evaluate, cmd_inspect, cmd_loadtest, cmd_serve, cmd_simulate,
-    parse_flags, CliError, CliResult, DaemonClientOptions, DaemonOptions, LoadtestOptions,
-    ServeOptions,
+    cmd_detect, cmd_estimate, cmd_evaluate, cmd_inspect, cmd_serve, cmd_simulate, parse_flags,
+    CliError, CliResult, DaemonClientOptions, DaemonOptions, ServeOptions,
 };
 use std::path::Path;
 
 const USAGE: &str =
-    "usage: cs-traffic-cli <simulate|build-tcm|estimate|analyze|detect|evaluate|serve|daemon|daemon-client|chaos|chaos-net|loadtest|inspect> [--flag value ...]
+    "usage: cs-traffic-cli <simulate|build-tcm|estimate|analyze|detect|evaluate|serve|daemon|daemon-client|chaos|chaos-net|inspect> [--flag value ...]
 
 global flags:
   --threads N        worker threads for completion/detection hot paths
@@ -87,19 +86,7 @@ subcommands:
   inspect    [--dump FILE] [--expose FILE]
              (--dump renders a cs-traffic-flight/v1 flight dump as a
               causal timeline; --expose re-renders the metric snapshots
-              in any telemetry JSONL as Prometheus exposition text)
-  loadtest   [--profile quick|full] [--seed N] [--rate R] [--ticks T]
-             [--max-legs N] [--transport in-process|socket] [--shards S]
-             [--out FILE] [--slo FILE]
-             (closed-loop load generator against the in-process
-              streaming service; binary-searches the max sustainable
-              throughput, writes a cs-traffic-bench-serve/v3 JSON with
-              --out, and with --slo gates against results/SLO.toml,
-              exit 70 on violation; same --seed = identical offered
-              stream at any --threads; --transport socket replays the
-              best leg through a live loopback daemon and records the
-              client-observed e2e quantiles in the artifact's socket
-              section)";
+              in any telemetry JSONL as Prometheus exposition text)";
 
 fn run() -> CliResult {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -255,29 +242,6 @@ fn run() -> CliResult {
                     .unwrap_or(defaults.shutdown),
             };
             cmd_daemon_client(&opts, std::io::stdout().lock())
-        }
-        "loadtest" => {
-            let defaults = LoadtestOptions::default();
-            let opts = LoadtestOptions {
-                profile: flags.get("profile").cloned().unwrap_or(defaults.profile),
-                seed: flags.get("seed").map(|s| s.parse()).transpose()?.unwrap_or(defaults.seed),
-                rate: flags.get("rate").map(|s| s.parse()).transpose()?,
-                ticks: flags.get("ticks").map(|s| s.parse()).transpose()?,
-                max_legs: flags
-                    .get("max-legs")
-                    .map(|s| s.parse())
-                    .transpose()?
-                    .unwrap_or(defaults.max_legs),
-                transport: flags.get("transport").cloned().unwrap_or(defaults.transport),
-                shards: flags
-                    .get("shards")
-                    .map(|s| s.parse())
-                    .transpose()?
-                    .unwrap_or(defaults.shards),
-                out: flags.get("out").map(std::path::PathBuf::from),
-                slo: flags.get("slo").map(std::path::PathBuf::from),
-            };
-            cmd_loadtest(&opts, std::io::stdout().lock())
         }
         "chaos" => cmd_chaos(
             get("seed")?.parse()?,

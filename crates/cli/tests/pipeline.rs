@@ -382,100 +382,3 @@ fn chaos_subcommand_is_deterministic_and_reports_every_seed() {
     }
     assert!(text.lines().all(|l| l.ends_with("oracle=ok")), "{text}");
 }
-
-#[test]
-fn loadtest_subcommand_measures_writes_and_gates() {
-    use cs_traffic_cli::{cmd_loadtest, LoadtestOptions};
-    let dir = std::env::temp_dir().join(format!("cs-cli-loadtest-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("BENCH_serve.json");
-    let slo = dir.join("SLO.toml");
-
-    // Single fixed-rate leg (no search) with a generous gate: must
-    // pass, write a parseable artifact, and report the stream hash.
-    std::fs::write(
-        &slo,
-        "schema = \"cs-traffic-slo/v1\"\n\
-         [budget]\ntick_p99_us = 60000000\nsolve_p99_us = 60000000\ndrop_rate = 0.5\n\
-         [baseline]\nmax_sustainable_rate = 0\ntick_p99_us = 1\nregress_tolerance = 1e9\n",
-    )
-    .unwrap();
-    let opts = LoadtestOptions {
-        rate: Some(120.0),
-        ticks: Some(8),
-        out: Some(out.clone()),
-        slo: Some(slo.clone()),
-        ..LoadtestOptions::default()
-    };
-    let mut buf = Vec::new();
-    cmd_loadtest(&opts, &mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    assert!(text.contains("SLO gate: pass"), "{text}");
-    assert!(text.contains("stream="), "{text}");
-
-    let doc = telemetry::json::Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some("cs-traffic-bench-serve/v3"));
-    assert!(doc.get("leg").and_then(|l| l.get("tick_us")).is_some(), "quantiles in artifact");
-    // In-process transport leaves the socket section explicitly null.
-    assert!(
-        matches!(doc.get("socket"), Some(telemetry::json::Json::Null)),
-        "in-process run must write socket: null"
-    );
-
-    // Socket transport: replay the same leg through a live loopback
-    // daemon. The offered stream is a pure function of the seed, so
-    // the socket section must carry the same stream hash as the
-    // in-process leg.
-    let sock_opts = LoadtestOptions {
-        transport: "socket".into(),
-        shards: 2,
-        rate: Some(120.0),
-        ticks: Some(8),
-        out: Some(out.clone()),
-        ..LoadtestOptions::default()
-    };
-    let mut buf = Vec::new();
-    cmd_loadtest(&sock_opts, &mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    assert!(text.contains("socket shards=2"), "{text}");
-    assert!(!text.contains("HASH MISMATCH"), "{text}");
-    let doc = telemetry::json::Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    let socket = doc.get("socket").expect("socket section present");
-    let leg_hash = doc.get("leg").and_then(|l| l.get("stream_hash")).and_then(|h| h.as_str());
-    assert_eq!(socket.get("stream_hash").and_then(|h| h.as_str()), leg_hash, "hash parity");
-    assert!(
-        socket
-            .get("e2e_us")
-            .and_then(|h| h.get("p99"))
-            .and_then(telemetry::json::Json::as_num)
-            .is_some(),
-        "e2e quantiles recorded"
-    );
-    let conns = socket
-        .get("daemon")
-        .and_then(|d| d.get("connections"))
-        .and_then(telemetry::json::Json::as_num);
-    assert_eq!(conns, Some(1.0), "one loadgen client connection");
-
-    // Unknown transport is a usage error.
-    let bad_transport =
-        LoadtestOptions { transport: "carrier-pigeon".into(), ..LoadtestOptions::default() };
-    assert_eq!(cmd_loadtest(&bad_transport, Vec::new()).unwrap_err().exit_code(), 2);
-
-    // An impossible budget must fail the gate with exit code 70.
-    std::fs::write(
-        &slo,
-        "schema = \"cs-traffic-slo/v1\"\n\
-         [budget]\ntick_p99_us = 0\nsolve_p99_us = 0\ndrop_rate = 0\n\
-         [baseline]\nmax_sustainable_rate = 0\ntick_p99_us = 1\nregress_tolerance = 1e9\n",
-    )
-    .unwrap();
-    let err = cmd_loadtest(&opts, Vec::new()).unwrap_err();
-    assert_eq!(err.exit_code(), 70, "{err}");
-    assert!(err.to_string().contains("reproduce with"), "{err}");
-
-    // Unknown profile is a usage error.
-    let bad = LoadtestOptions { profile: "huge".into(), ..LoadtestOptions::default() };
-    assert_eq!(cmd_loadtest(&bad, Vec::new()).unwrap_err().exit_code(), 2);
-    let _ = std::fs::remove_dir_all(&dir);
-}

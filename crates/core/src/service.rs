@@ -529,10 +529,6 @@ pub struct Service {
     /// trace stage + e2e sample). Cleared in place each tick so the
     /// capacity amortizes.
     pending: Vec<(Option<u64>, Instant)>,
-    /// Local end-to-end latency histogram (ingest-enqueue to
-    /// estimate-ready), always on: callers like `cs_bench::loadgen`
-    /// read it via [`Service::e2e_histogram`] without a metrics sink.
-    e2e: telemetry::Histogram,
     /// XOR-fold of [`cell_hash`] over every observed window cell — an
     /// order-independent running digest of window content. Admission
     /// folds it once per touched cell (see `touched`), eviction
@@ -666,7 +662,6 @@ impl Service {
             lat: None,
             ingest_seq: 0,
             pending: Vec::new(),
-            e2e: telemetry::Histogram::default(),
             digest: 0,
             last_solve_key: None,
             touched: Vec::new(),
@@ -744,13 +739,6 @@ impl Service {
     /// the same trace ID before the push.
     pub fn ingest_seq(&self) -> u64 {
         self.ingest_seq
-    }
-
-    /// The service's local end-to-end latency histogram
-    /// (ingest-enqueue to estimate-ready, in microseconds). Always
-    /// collected, independent of the global metrics switch.
-    pub fn e2e_histogram(&self) -> &telemetry::Histogram {
-        &self.e2e
     }
 
     /// The current live estimate, if any window has been solved. The
@@ -995,12 +983,9 @@ impl Service {
         let stage = if report.degraded { "degraded" } else { "solved" };
         let e2e_metric = self.latency_hists().map(|l| std::sync::Arc::clone(&l.e2e_us));
         let now = Instant::now();
-        for i in 0..self.pending.len() {
-            let (trace, enqueued) = self.pending[i];
-            let us = now.saturating_duration_since(enqueued).as_micros() as f64;
-            self.e2e.observe(us);
+        for &(trace, enqueued) in &self.pending {
             if let Some(h) = &e2e_metric {
-                h.observe(us);
+                h.observe(now.saturating_duration_since(enqueued).as_micros() as f64);
             }
             if let Some(id) = trace {
                 Self::trace_terminal(id, stage);

@@ -1,15 +1,11 @@
 //! CI gate for telemetry output: checks that every line of a metrics
 //! JSONL file is parseable JSON carrying the expected top-level keys,
 //! that histogram snapshots carry well-formed `lo:hi:count` bucket
-//! triples, and (optionally) that a run manifest or a
-//! `cs-traffic-bench-serve/v1|v2` load-test artifact parses with its
-//! required keys (v2 adds the solve-path counters — cache hits,
-//! incremental vs full solves, rows resolved — and the `scale`
-//! latency-vs-grid-size curve).
+//! triples, and (optionally) that a run manifest parses with its
+//! required keys.
 //!
 //! ```text
-//! validate-jsonl [--serve BENCH_serve.json] <metrics.jsonl> [run_manifest.json]
-//! validate-jsonl --serve BENCH_serve.json
+//! validate-jsonl <metrics.jsonl> [run_manifest.json]
 //! validate-jsonl --flight flight_dump.jsonl
 //! ```
 //!
@@ -93,142 +89,6 @@ fn validate_buckets(path: &str, lineno: usize, value: &Json) {
             fail(format!("{path}:{lineno}: malformed bucket triple '{triple}' (want lo:hi:count)"));
         }
     }
-}
-
-/// Solve-path counters the v2 serve artifact splits out of `solves`:
-/// cache hits/misses plus the incremental-vs-full-sweep accounting.
-const SOLVE_PATH_COUNTERS: &[&str] = &[
-    "solve_cache_hits",
-    "solve_cache_misses",
-    "incremental_solves",
-    "full_solves",
-    "rows_resolved",
-];
-
-/// Required shape of the `cs-traffic-bench-serve/v1|v2|v3` load-test
-/// artifact: the schema marker, the searched rate, and a best leg with
-/// full quantile sets, counters, and the determinism witness hash. The
-/// v2 schema additionally carries the solve-path counters
-/// ([`SOLVE_PATH_COUNTERS`]) in every counter block and a `scale`
-/// array (the latency-vs-grid-size curve, possibly empty). The v3
-/// schema adds a `socket` section (the socket-transport leg with
-/// client-observed e2e quantiles and the daemon's transport counters,
-/// or null when the run was in-process only).
-fn validate_serve(path: &str) {
-    let content = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(format!("cannot read '{path}': {e}")));
-    let value =
-        Json::parse(&content).unwrap_or_else(|e| fail(format!("{path}: not valid JSON: {e}")));
-    let (v2, v3) = match value.get("schema").and_then(Json::as_str) {
-        Some("cs-traffic-bench-serve/v1") => (false, false),
-        Some("cs-traffic-bench-serve/v2") => (true, false),
-        Some("cs-traffic-bench-serve/v3") => (true, true),
-        Some(other) => fail(format!("{path}: unsupported serve schema '{other}'")),
-        None => fail(format!("{path}: missing 'schema'")),
-    };
-    for key in ["git_rev", "seed", "threads", "quick", "grid", "search_legs"] {
-        if value.get(key).is_none() {
-            fail(format!("{path}: missing required key '{key}'"));
-        }
-    }
-    if value.get("max_sustainable_rate").and_then(Json::as_num).is_none() {
-        fail(format!("{path}: 'max_sustainable_rate' is not a number"));
-    }
-    let Some(leg) = value.get("leg") else {
-        fail(format!("{path}: missing 'leg'"));
-    };
-    for key in ["offered_rate", "achieved_rate", "drop_rate", "degrade_rate", "wall_s"] {
-        if leg.get(key).and_then(Json::as_num).is_none() {
-            fail(format!("{path}: leg.{key} is not a number"));
-        }
-    }
-    for hist in ["tick_us", "solve_us", "e2e_us"] {
-        let Some(h) = leg.get(hist) else {
-            fail(format!("{path}: missing leg.{hist}"));
-        };
-        for q in ["p50", "p99", "p999", "max", "count"] {
-            if h.get(q).and_then(Json::as_num).is_none() {
-                fail(format!("{path}: leg.{hist}.{q} is not a number"));
-            }
-        }
-    }
-    let Some(counters) = leg.get("counters") else {
-        fail(format!("{path}: missing leg.counters"));
-    };
-    if v2 {
-        for key in SOLVE_PATH_COUNTERS {
-            if counters.get(key).and_then(Json::as_num).is_none() {
-                fail(format!("{path}: leg.counters.{key} is not a number"));
-            }
-        }
-    }
-    let hash = leg
-        .get("stream_hash")
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| fail(format!("{path}: leg.stream_hash is not a string")));
-    if hash.len() != 16 || !hash.bytes().all(|b| b.is_ascii_hexdigit()) {
-        fail(format!("{path}: leg.stream_hash '{hash}' is not a 16-digit hex hash"));
-    }
-    if v2 {
-        let Some(Json::Arr(points)) = value.get("scale") else {
-            fail(format!("{path}: v2 artifact is missing the 'scale' array"));
-        };
-        for (i, point) in points.iter().enumerate() {
-            if point.get("segments").and_then(Json::as_num).is_none() {
-                fail(format!("{path}: scale[{i}].segments is not a number"));
-            }
-            for hist in ["tick_us", "solve_us"] {
-                let Some(h) = point.get(hist) else {
-                    fail(format!("{path}: missing scale[{i}].{hist}"));
-                };
-                for q in ["p50", "p99", "p999", "max", "count"] {
-                    if h.get(q).and_then(Json::as_num).is_none() {
-                        fail(format!("{path}: scale[{i}].{hist}.{q} is not a number"));
-                    }
-                }
-            }
-            let Some(c) = point.get("counters") else {
-                fail(format!("{path}: missing scale[{i}].counters"));
-            };
-            for key in SOLVE_PATH_COUNTERS {
-                if c.get(key).and_then(Json::as_num).is_none() {
-                    fail(format!("{path}: scale[{i}].counters.{key} is not a number"));
-                }
-            }
-        }
-    }
-    if v3 {
-        match value.get("socket") {
-            Some(Json::Null) => {}
-            Some(socket) => {
-                for key in ["offered_rate", "achieved_rate", "drop_rate", "shards"] {
-                    if socket.get(key).and_then(Json::as_num).is_none() {
-                        fail(format!("{path}: socket.{key} is not a number"));
-                    }
-                }
-                for hist in ["e2e_us", "tick_us", "solve_us"] {
-                    let Some(h) = socket.get(hist) else {
-                        fail(format!("{path}: missing socket.{hist}"));
-                    };
-                    for q in ["p50", "p99", "p999", "max", "count"] {
-                        if h.get(q).and_then(Json::as_num).is_none() {
-                            fail(format!("{path}: socket.{hist}.{q} is not a number"));
-                        }
-                    }
-                }
-                let Some(daemon) = socket.get("daemon") else {
-                    fail(format!("{path}: missing socket.daemon"));
-                };
-                for key in ["connections", "frames", "reports", "protocol_errors"] {
-                    if daemon.get(key).and_then(Json::as_num).is_none() {
-                        fail(format!("{path}: socket.daemon.{key} is not a number"));
-                    }
-                }
-            }
-            None => fail(format!("{path}: v3 artifact is missing the 'socket' key")),
-        }
-    }
-    println!("{path}: serve artifact OK");
 }
 
 /// Terminal causal-trace stages: once a report hits one of these, its
@@ -359,13 +219,6 @@ fn validate_manifest(path: &str) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--serve") {
-        args.remove(pos);
-        if pos >= args.len() {
-            fail("--serve requires a path".to_string());
-        }
-        validate_serve(&args.remove(pos));
-    }
     if let Some(pos) = args.iter().position(|a| a == "--flight") {
         args.remove(pos);
         if pos >= args.len() {
@@ -375,8 +228,8 @@ fn main() {
     }
     if args.is_empty() && std::env::args().len() <= 1 {
         fail(
-            "usage: validate-jsonl [--serve BENCH_serve.json] [--flight flight_dump.jsonl] \
-             <metrics.jsonl> [run_manifest.json]"
+            "usage: validate-jsonl [--flight flight_dump.jsonl] <metrics.jsonl> \
+             [run_manifest.json]"
                 .to_string(),
         );
     }

@@ -218,22 +218,6 @@ impl Histogram {
         // for a moment; the largest observation is the right answer.
         Some(max)
     }
-
-    /// Discards every observation, returning the histogram to its
-    /// freshly-created state. Callers that keep a long-lived handle can
-    /// draw a measurement boundary (e.g. the load generator resetting at
-    /// the warmup/measurement edge) without re-registering the metric.
-    /// Not atomic with respect to concurrent `observe` calls; reset at
-    /// quiescent points.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0.0_f64.to_bits(), Ordering::Relaxed);
-        self.min_bits.store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        self.max_bits.store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
-    }
 }
 
 /// CAS loop for float-valued atomics (sum/min/max).
