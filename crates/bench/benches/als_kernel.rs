@@ -18,27 +18,30 @@
 //! problems are noisier).
 //!
 //! On top of the baseline-vs-kernel pair, every [`KernelVariant`] that
-//! supports the bench rank is timed through `set_kernel_override` —
-//! scalar reference, runtime-rank unrolled, and the monomorphized
-//! fixed-rank kernel — and the per-variant numbers land in a `kernels`
-//! section of the JSON (schema `cs-traffic-bench-als/v2`) plus one
-//! appended line in the tracked `results/BENCH_als_trajectory.jsonl`.
-//! With `CS_BENCH_ENFORCE` set the process exits 70 when the fixed-rank
-//! kernel is slower than the scalar reference, so CI catches a
-//! specialization regression as a red leg instead of a silent number.
+//! supports the bench rank is timed through `set_kernel_override` — the
+//! scalar reference and the monomorphized fixed-rank kernel — and the
+//! per-variant numbers land in a `kernels` section of the JSON (schema
+//! `cs-traffic-bench-als/v3`) plus one appended line in the tracked
+//! `results/BENCH_als_trajectory.jsonl`. All four rows (baseline,
+//! auto-dispatched kernel, and each variant) are timed interleaved run
+//! by run, so a noisy stretch of a shared host lands on every row
+//! instead of on one. With `CS_BENCH_ENFORCE` set the process exits 70
+//! when the fixed-rank kernel is slower than the scalar reference, so
+//! CI catches a specialization regression as a red leg instead of a
+//! silent number.
 //!
 //! A `warm_pass` section times the serve path's per-tick solve: one
 //! `OnlineEstimator::update_pass` on a 16 × 8,192 rank-8 window at ~25%
 //! integrity (the shape of servebench's `metro-sparse`; `CS_BENCH_QUICK`
 //! shrinks it to 16 × 1,024), under the `scalar` override (one unit at
-//! a time) and under `fixed8` (four-lane batches), split into its `L`
-//! step, `R` step and `L·Rᵀ` rewrite from the pass's `online.pass`
-//! span. `CS_BENCH_ENFORCE` also fails the run when `fixed8`'s pass is
-//! slower than `scalar`'s.
+//! a time) and under `fixed8` (four-lane batches), interleaved pass by
+//! pass and split into its `L` step, `R` step and `L·Rᵀ` rewrite from
+//! the pass's `online.pass` span. `CS_BENCH_ENFORCE` also fails the run
+//! when `fixed8`'s pass is slower than `scalar`'s.
 
 use criterion::{black_box, Criterion};
 use linalg::kernel::{set_kernel_override, KernelVariant};
-use linalg::lstsq::{solve_normal_equations, GramScratch};
+use linalg::lstsq::solve_normal_equations;
 use linalg::Matrix;
 use probes::mask::random_mask;
 use probes::stream::StreamingTcm;
@@ -175,30 +178,24 @@ fn bench_problem() -> (Tcm, CsConfig, bool) {
 /// moves neither the artifact nor the `CS_BENCH_ENFORCE` gate.
 const RUNS: usize = 5;
 
-/// One measured row: the median wall time and the median allocation
-/// count of [`RUNS`] runs of `f`.
-fn measure(mut f: impl FnMut() -> Matrix) -> (f64, usize) {
-    let (mut secs, mut allocs) = (Vec::with_capacity(RUNS), Vec::with_capacity(RUNS));
+/// Measured rows: for each of `paths`, the median wall time and the
+/// median allocation count of [`RUNS`] runs. The runs are interleaved —
+/// every path's `k`-th run before any path's `k + 1`-th — so a slow
+/// stretch of a shared host spreads over all rows instead of landing
+/// on one.
+fn measure_interleaved(paths: &mut [Box<dyn FnMut() -> Matrix + '_>]) -> Vec<(f64, usize)> {
+    let mut samples: Vec<(Vec<f64>, Vec<usize>)> = vec![Default::default(); paths.len()];
     for _ in 0..RUNS {
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let start = Instant::now();
-        black_box(f());
-        secs.push(start.elapsed().as_secs_f64());
-        allocs.push(ALLOCATIONS.load(Ordering::Relaxed) - allocs_before);
+        for (f, (secs, allocs)) in paths.iter_mut().zip(&mut samples) {
+            let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+            let start = Instant::now();
+            black_box(f());
+            let elapsed = start.elapsed().as_secs_f64();
+            allocs.push(ALLOCATIONS.load(Ordering::Relaxed) - allocs_before);
+            secs.push(elapsed);
+        }
     }
-    (median(secs), median(allocs))
-}
-
-/// Whether the `kernel` feature reached `linalg` through the dependency
-/// graph. Probed at runtime (an override that sticks) so the bench
-/// doesn't re-plumb the feature flag: with the feature off, `auto`
-/// pins every solve to the scalar reference and per-variant timing
-/// would measure the same code path five times.
-fn kernel_feature_active() -> bool {
-    set_kernel_override(Some(KernelVariant::Unrolled));
-    let picked = GramScratch::new(3).variant();
-    set_kernel_override(None);
-    picked == KernelVariant::Unrolled
+    samples.into_iter().map(|(secs, allocs)| (median(secs), median(allocs))).collect()
 }
 
 fn bench_als_kernel(c: &mut Criterion) {
@@ -215,23 +212,21 @@ fn bench_als_kernel(c: &mut Criterion) {
     group.bench_function("gram_kernel_all_cores", |b| {
         b.iter(|| black_box(complete_matrix(&tcm, &all_cores).unwrap()))
     });
-    if kernel_feature_active() {
-        for variant in KernelVariant::supported(cfg.rank) {
-            set_kernel_override(Some(variant));
-            group.bench_function(format!("gram_kernel_{}_1_thread", variant.name()), |b| {
-                b.iter(|| black_box(complete_matrix(&tcm, &cfg).unwrap()))
-            });
-            set_kernel_override(None);
-        }
+    for variant in KernelVariant::supported(cfg.rank) {
+        set_kernel_override(Some(variant));
+        group.bench_function(format!("gram_kernel_{}_1_thread", variant.name()), |b| {
+            b.iter(|| black_box(complete_matrix(&tcm, &cfg).unwrap()))
+        });
+        set_kernel_override(None);
     }
     group.finish();
 }
 
-/// Times `complete_matrix` with the kernel pinned to `variant` (see
-/// [`measure`]), restoring auto dispatch afterwards.
-fn measure_variant(tcm: &Tcm, cfg: &CsConfig, variant: KernelVariant) -> (f64, usize) {
+/// Runs `f` with the kernel pinned to `variant`, restoring auto
+/// dispatch afterwards.
+fn pinned<T>(variant: KernelVariant, f: impl FnOnce() -> T) -> T {
     set_kernel_override(Some(variant));
-    let out = measure(|| complete_matrix(tcm, cfg).unwrap());
+    let out = f();
     set_kernel_override(None);
     out
 }
@@ -276,40 +271,53 @@ fn median<T: Copy + PartialOrd>(mut xs: Vec<T>) -> T {
     xs[xs.len() / 2]
 }
 
-/// Times `passes` warm passes from the same primed state with the
-/// kernel pinned to `variant`: first with telemetry off (wall clock and
-/// allocations), then again at `Debug` level to read each pass's
-/// `online.pass` stage split.
-fn measure_warm_pass(
+/// Times `passes` warm passes per variant, each variant from its own
+/// copy of the same primed state with the kernel pinned to it, the
+/// variants interleaved pass by pass: first with telemetry off (wall
+/// clock and allocations), then again at `Debug` level to read each
+/// pass's `online.pass` stage split.
+fn measure_warm_passes(
     stream: &StreamingTcm,
     primed: &OnlineEstimator,
     estimate: &Matrix,
-    variant: KernelVariant,
+    variants: &[KernelVariant],
     passes: usize,
-) -> PassTiming {
-    set_kernel_override(Some(variant));
-    let (mut online, mut est) = (primed.clone(), estimate.clone());
-    online.update_pass(stream, &mut est).expect("warm pass");
-    let mut times = Vec::with_capacity(passes);
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..passes {
-        let start = Instant::now();
-        black_box(online.update_pass(stream, &mut est).expect("warm pass"));
-        times.push(start.elapsed().as_secs_f64() * 1e3);
+) -> Vec<PassTiming> {
+    let mut states: Vec<(OnlineEstimator, Matrix)> =
+        variants.iter().map(|_| (primed.clone(), estimate.clone())).collect();
+    let pass = |variant: KernelVariant, (online, est): &mut (OnlineEstimator, Matrix)| {
+        pinned(variant, || black_box(online.update_pass(stream, est).expect("warm pass")));
+    };
+    for (&v, state) in variants.iter().zip(&mut states) {
+        pass(v, state);
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let mut times = vec![Vec::new(); variants.len()];
+    let mut allocations = vec![0; variants.len()];
+    for _ in 0..passes {
+        for (k, (&v, state)) in variants.iter().zip(&mut states).enumerate() {
+            let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+            let start = Instant::now();
+            pass(v, state);
+            let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+            allocations[k] += ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+            times[k].push(elapsed_ms);
+        }
+    }
 
     let sink = Arc::new(telemetry::CaptureSink::new());
     telemetry::add_sink(sink.clone());
     telemetry::set_level(telemetry::Level::Debug);
+    let mut records = vec![Vec::new(); variants.len()];
     for _ in 0..passes {
-        online.update_pass(stream, &mut est).expect("warm pass");
+        for (k, (&v, state)) in variants.iter().zip(&mut states).enumerate() {
+            pass(v, state);
+            records[k].extend(sink.records().into_iter().filter(|r| r.name == "online.pass"));
+            sink.clear();
+        }
     }
     telemetry::set_level(telemetry::Level::Off);
     telemetry::clear_sinks();
-    set_kernel_override(None);
-    let records: Vec<_> = sink.records().into_iter().filter(|r| r.name == "online.pass").collect();
-    let stage = |key: &str| {
+    let stage = |records: &[telemetry::sink::OwnedRecord], key: &str| {
         median(
             records
                 .iter()
@@ -320,31 +328,32 @@ fn measure_warm_pass(
                 .collect(),
         )
     };
-    PassTiming {
-        pass_ms: median(times),
-        l_step_ms: stage("l_step_ms"),
-        r_step_ms: stage("r_step_ms"),
-        rewrite_ms: stage("rewrite_ms"),
-        allocations_per_pass: allocations as f64 / passes as f64,
-    }
+    times
+        .into_iter()
+        .zip(allocations)
+        .zip(&records)
+        .map(|((times, allocations), records)| PassTiming {
+            pass_ms: median(times),
+            l_step_ms: stage(records, "l_step_ms"),
+            r_step_ms: stage(records, "r_step_ms"),
+            rewrite_ms: stage(records, "rewrite_ms"),
+            allocations_per_pass: allocations as f64 / passes as f64,
+        })
+        .collect()
 }
 
-/// The `warm_pass` section: `scalar` always, `fixed8` when the kernel
-/// feature is on. Returns the JSON object and the per-variant timings.
-fn warm_pass_section(quick: bool, feature_on: bool) -> (Json, Vec<(KernelVariant, PassTiming)>) {
+/// The `warm_pass` section: `scalar` against `fixed8`. Returns the JSON
+/// object and the per-variant timings.
+fn warm_pass_section(quick: bool) -> (Json, Vec<(KernelVariant, PassTiming)>) {
     let (stream, cfg) = warm_pass_problem(quick);
     let (m, n) = (stream.window_slots(), stream.num_segments());
     let passes = if quick { 10 } else { 30 };
     let mut primed = OnlineEstimator::new(cfg.clone(), m).expect("valid config");
     let estimate = primed.update_detailed(&stream.snapshot()).expect("cold solve").estimate;
-    let variants: &[KernelVariant] = if feature_on {
-        &[KernelVariant::Scalar, KernelVariant::Fixed8]
-    } else {
-        &[KernelVariant::Scalar]
-    };
+    let variants = [KernelVariant::Scalar, KernelVariant::Fixed8];
     let timings: Vec<(KernelVariant, PassTiming)> = variants
-        .iter()
-        .map(|&v| (v, measure_warm_pass(&stream, &primed, &estimate, v, passes)))
+        .into_iter()
+        .zip(measure_warm_passes(&stream, &primed, &estimate, &variants, passes))
         .collect();
     let mut fields = vec![
         ("slots".into(), Json::Num(m as f64)),
@@ -425,14 +434,15 @@ fn append_als_trajectory(
     writeln!(f, "{}", Json::Obj(fields).encode())
 }
 
-/// Writes `results/BENCH_als.json` (schema `cs-traffic-bench-als/v2`):
+/// Writes `results/BENCH_als.json` (schema `cs-traffic-bench-als/v3`):
 /// per-sweep wall time and allocation totals for the allocating
 /// baseline, the shipping auto-dispatched kernel, and every kernel
 /// variant that supports the bench rank, plus the resulting speedups.
-/// Each path's row is the median of [`RUNS`] runs, recorded as `runs`
-/// (criterion's statistics live in `target/criterion/als_kernel/`); the
-/// allocation counter doubles as the peak-RSS proxy — the baseline's
-/// churn is the resident-set pressure the kernel path removes.
+/// Each path's row is the median of [`RUNS`] interleaved runs, recorded
+/// as `runs` (criterion's statistics live in
+/// `target/criterion/als_kernel/`); the allocation counter doubles as
+/// the peak-RSS proxy — the baseline's churn is the resident-set
+/// pressure the kernel path removes.
 ///
 /// Returns `false` when `CS_BENCH_ENFORCE` is set and the fixed-rank
 /// kernel came out slower than the scalar reference, per sweep or per
@@ -441,28 +451,23 @@ fn write_bench_json() -> bool {
     let (tcm, cfg, quick) = bench_problem();
     let (m, n) = tcm.values().shape();
     let sweeps = cfg.iterations;
-    let feature_on = kernel_feature_active();
 
     // Warm-up: prime lazy globals and the page cache out of band.
     let _ = complete_matrix(&tcm, &cfg).unwrap();
-    let (base_secs, base_allocs) = measure(|| baseline_als(&tcm, &cfg));
-    let (kern_secs, kern_allocs) = measure(|| complete_matrix(&tcm, &cfg).unwrap());
+    let variants: Vec<KernelVariant> = KernelVariant::supported(cfg.rank).collect();
+    let mut paths: Vec<Box<dyn FnMut() -> Matrix + '_>> = vec![
+        Box::new(|| baseline_als(&tcm, &cfg)),
+        Box::new(|| complete_matrix(&tcm, &cfg).unwrap()),
+    ];
+    for &v in &variants {
+        let (tcm, cfg) = (&tcm, &cfg);
+        paths.push(Box::new(move || pinned(v, || complete_matrix(tcm, cfg).unwrap())));
+    }
+    let rows = measure_interleaved(&mut paths);
+    let ((base_secs, base_allocs), (kern_secs, kern_allocs)) = (rows[0], rows[1]);
     let speedup = base_secs / kern_secs;
-
-    // Per-variant runs. With the feature off every variant resolves to
-    // scalar, so only the scalar row is honest — record just that one.
-    let variants: Vec<KernelVariant> = if feature_on {
-        KernelVariant::supported(cfg.rank).collect()
-    } else {
-        vec![KernelVariant::Scalar]
-    };
-    let kernels: Vec<(KernelVariant, f64, usize)> = variants
-        .iter()
-        .map(|&v| {
-            let (secs, allocs) = measure_variant(&tcm, &cfg, v);
-            (v, secs, allocs)
-        })
-        .collect();
+    let kernels: Vec<(KernelVariant, f64, usize)> =
+        variants.iter().zip(&rows[2..]).map(|(&v, &(secs, allocs))| (v, secs, allocs)).collect();
     let per_sweep = |secs: f64| secs * 1e3 / sweeps as f64;
     let scalar_secs = kernels
         .iter()
@@ -474,10 +479,9 @@ fn write_bench_json() -> bool {
     });
 
     let mut fields = vec![
-        ("schema".into(), Json::Str("cs-traffic-bench-als/v2".into())),
+        ("schema".into(), Json::Str("cs-traffic-bench-als/v3".into())),
         ("bench".into(), Json::Str("als_kernel".into())),
         ("quick".into(), Json::Bool(quick)),
-        ("kernel_feature".into(), Json::Bool(feature_on)),
         ("slots".into(), Json::Num(m as f64)),
         ("segments".into(), Json::Num(n as f64)),
         ("rank".into(), Json::Num(cfg.rank as f64)),
@@ -503,7 +507,7 @@ fn write_bench_json() -> bool {
         fields.push(("fixed_variant".into(), Json::Str(fv.name().into())));
         fields.push(("fixed_vs_scalar_speedup".into(), Json::Num(scalar_secs / fsecs)));
     }
-    let (warm_json, warm_pass) = warm_pass_section(quick, feature_on);
+    let (warm_json, warm_pass) = warm_pass_section(quick);
     fields.push(("warm_pass".into(), warm_json));
     let json = Json::Obj(fields).encode() + "\n";
 

@@ -60,10 +60,9 @@ pub struct ChaosConfig {
     /// Flight-recorder dump path for degraded ticks and oracle
     /// failures (see [`ServeConfig::flight_dump`]).
     pub flight_dump: Option<std::path::PathBuf>,
-    /// Force a full warm sweep on every solve that misses the solve
-    /// cache (`ServeConfig::incremental = false`), disabling the warm
-    /// pass; the content-hash solve cache still answers unchanged
-    /// windows. The default (`false`) runs the service as shipped; CI
+    /// Force a full warm sweep on every solve
+    /// (`ServeConfig::incremental = false`), disabling the warm pass.
+    /// The default (`false`) runs the service as shipped; CI
     /// runs the sweep both ways and diffs the summary lines. The final
     /// audit's cold-restart + refresh makes the estimate hash solve-mode
     /// invariant, so the diff compares the counters, the window, the

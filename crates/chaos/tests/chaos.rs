@@ -79,12 +79,11 @@ fn seed_sweep_is_green_and_covers_the_fault_space() {
 }
 
 /// The warm-pass solve path (the shipped default) and a run that
-/// forces a full sweep on every cache miss must tell
-/// the same story line for line: the final audit cold-restarts the
-/// estimator and refreshes, so estimate/window hashes are solve-mode
-/// invariant, and the solve/degraded counters are mode-independent by
-/// construction (cache hits still count as solves). CI diffs exactly
-/// these summary lines across a 16-seed sweep.
+/// forces a full sweep on every solve must tell the same story line for
+/// line: the final audit cold-restarts the estimator and refreshes, so
+/// estimate/window hashes are solve-mode invariant, and the
+/// solve/degraded counters are mode-independent by construction. CI
+/// diffs exactly these summary lines across a 16-seed sweep.
 #[test]
 fn full_sweep_only_runs_tell_the_same_story() {
     for seed in [2, 9] {

@@ -593,9 +593,8 @@ pub fn cmd_serve<W: Write>(
 /// and concurrent test harnesses don't.
 ///
 /// `full_sweep_only` (the `--solve-mode full` flag) forces a full warm
-/// sweep on every solve that misses the solve cache, instead of one
-/// warm pass; the summary lines must be byte-identical either way, and
-/// CI diffs them.
+/// sweep on every solve instead of one warm pass; the summary lines
+/// must be byte-identical either way, and CI diffs them.
 ///
 /// # Errors
 ///

@@ -73,8 +73,8 @@ subcommands:
               service with a differential oracle; same seed = identical
               output at any --threads AND any --solve-mode; exit 70 on
               oracle violation; --solve-mode full makes every solve
-              that misses the solve cache a full warm sweep instead of
-              one warm pass, for differential runs against the default;
+              a full warm sweep instead of one warm pass, for
+              differential runs against the default;
               --flight-dump captures degraded ticks and oracle failures)
   chaos-net  --seed N [--sweep K] [--clients C] [--shards S]
              (connection-level chaos: faulty cs-wire/v1 clients —

@@ -208,8 +208,7 @@ pub struct ServeConfig {
     /// restart, recovery after a failed solve, a slide of a whole
     /// window — and a warm pass on every other solve. `false` makes
     /// every solve a full warm sweep: the reference that differential
-    /// runs diff against. The solve cache answers unchanged content
-    /// either way.
+    /// runs diff against.
     pub incremental: bool,
     /// Segment-range shard layout for [`ShardedService`]; a bare
     /// [`Service`] requires the single-shard plan.
@@ -421,19 +420,17 @@ pub struct ServeStats {
 }
 
 /// How the solves of [`ServeStats::solves`] were actually serviced —
-/// the solve-cache and incremental-path breakdown, mirroring the
-/// `serve.solve_cache_hit` / `serve.solve_cache_miss` /
+/// the warm-pass and full-sweep breakdown, mirroring the
 /// `serve.incremental_solves` / `serve.rows_resolved` counters. Kept
 /// separate from [`ServeStats`] so existing accounting (and differential
 /// mirrors of it) is untouched by how a solve was computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveStats {
-    /// Dirty ticks answered from the solve cache: the window content
-    /// hash matched the last solved content, so the previous estimate
-    /// was reused without touching the solver.
+    /// Always 0: the service keeps no solve cache. Kept, with
+    /// `cache_misses`, so the struct keeps its shape until the next
+    /// benchmark change drops both.
     pub cache_hits: u64,
-    /// Dirty ticks whose content hash missed the cache and went to the
-    /// solver (warm pass or full sweep).
+    /// Always 0; see `cache_hits`.
     pub cache_misses: u64,
     /// Solves serviced by a warm pass (the one-pass path).
     pub incremental_solves: u64,
@@ -529,39 +526,8 @@ pub struct Service {
     /// trace stage + e2e sample). Cleared in place each tick so the
     /// capacity amortizes.
     pending: Vec<(Option<u64>, Instant)>,
-    /// XOR-fold of [`cell_hash`] over every observed window cell — an
-    /// order-independent running digest of window content. Admission
-    /// folds it once per touched cell (see `touched`), eviction
-    /// O(segments) per evicted slot. Keyed by absolute slot, so sliding
-    /// the window does not disturb surviving cells' contributions.
-    digest: u64,
-    /// Content key of the window at the last successful solve; a dirty
-    /// tick whose current key matches is a solve-cache hit.
-    last_solve_key: Option<u64>,
-    /// `(absolute slot, segment, sum, count)` of each cell the current
-    /// drain touched, as it was before the first touch. The drain's end
-    /// (or a slide) folds them into `digest`: the old state out, the
-    /// current state in — intermediate states cancel under XOR.
-    touched: Vec<(usize, u32, f64, f64)>,
-    /// Membership marks of `touched`.
-    touched_bits: SlotBits,
-    /// Solve-cache and incremental-path breakdown.
+    /// Warm-pass and full-sweep breakdown.
     solve_stats: SolveStats,
-}
-
-/// FNV-1a digest of one observed window cell, keyed by absolute slot so
-/// the contribution survives window slides unchanged. Hashing the raw
-/// `(sum, count)` accumulator bits — not the snapshot's `sum / count` —
-/// makes the digest exact: two windows share a digest only when every
-/// cell's accumulator state is bit-identical, which is precisely when
-/// their snapshots (and hence solves) are.
-fn cell_hash(abs_slot: usize, segment: u32, sum: f64, count: f64) -> u64 {
-    let mut h = telemetry::Fnv::new();
-    h.write_u64(abs_slot as u64);
-    h.write_u64(u64::from(segment));
-    h.write_u64(sum.to_bits());
-    h.write_u64(count.to_bits());
-    h.finish()
 }
 
 /// Writes checkpoint `text` to `path` so that a crash mid-write never
@@ -602,35 +568,6 @@ fn solve_error<T>(failed: Result<T, Error>) -> String {
     }
 }
 
-/// Bitset rows over the segment columns, one per ring slot (`abs_slot %
-/// window_slots`).
-#[derive(Debug)]
-struct SlotBits {
-    /// `u64` words per row: `ceil(num_segments / 64)`.
-    words: usize,
-    bits: Vec<u64>,
-}
-
-impl SlotBits {
-    fn new(slots: usize, segments: usize) -> Self {
-        let words = segments.div_ceil(64);
-        Self { words, bits: vec![0; slots * words] }
-    }
-
-    /// Sets bit `(ring, segment)`; returns whether it was newly set.
-    fn insert(&mut self, ring: usize, segment: usize) -> bool {
-        let word = &mut self.bits[ring * self.words + segment / 64];
-        let mask = 1u64 << (segment % 64);
-        let fresh = *word & mask == 0;
-        *word |= mask;
-        fresh
-    }
-
-    fn remove(&mut self, ring: usize, segment: usize) {
-        self.bits[ring * self.words + segment / 64] &= !(1u64 << (segment % 64));
-    }
-}
-
 impl Service {
     /// Builds the service, validating the configuration.
     ///
@@ -648,7 +585,7 @@ impl Service {
         )
         .map_err(|e| ConfigError::new("window", e.to_string()))?;
         let estimator = OnlineEstimator::new(config.cs.clone(), config.window_slots)?;
-        let (m, n) = (config.window_slots, config.num_segments);
+        let m = config.window_slots;
         Ok(Self {
             clock_s: config.start_s,
             config,
@@ -662,10 +599,6 @@ impl Service {
             lat: None,
             ingest_seq: 0,
             pending: Vec::new(),
-            digest: 0,
-            last_solve_key: None,
-            touched: Vec::new(),
-            touched_bits: SlotBits::new(m, n),
             solve_stats: SolveStats::default(),
         })
     }
@@ -697,24 +630,9 @@ impl Service {
         self.stats
     }
 
-    /// Solve-cache and incremental-path breakdown of
-    /// [`ServeStats::solves`].
+    /// Warm-pass and full-sweep breakdown of [`ServeStats::solves`].
     pub fn solve_stats(&self) -> SolveStats {
         self.solve_stats
-    }
-
-    /// Content key of the current window: the FNV-1a fold of the cell
-    /// digest with the window geometry and head slot. Two service
-    /// instances report the same key exactly when their windows hold
-    /// bit-identical content in the same absolute position — the
-    /// solve-cache identity, exposed for differential harnesses.
-    pub fn window_key(&self) -> u64 {
-        let mut h = telemetry::Fnv::new();
-        h.write_u64(self.digest);
-        h.write_u64(self.window.head_slot() as u64);
-        h.write_u64(self.config.window_slots as u64);
-        h.write_u64(self.config.num_segments as u64);
-        h.finish()
     }
 
     /// The simulated clock: largest timestamp ingested so far.
@@ -787,10 +705,6 @@ impl Service {
     /// panicking).
     pub fn cold_restart(&mut self) -> Result<(), Error> {
         self.estimator = OnlineEstimator::new(self.config.cs.clone(), self.config.window_slots)?;
-        // The cached estimate no longer describes what a solve would
-        // produce (the cold estimator re-derives factors from scratch),
-        // so the next dirty tick must actually solve.
-        self.last_solve_key = None;
         Ok(())
     }
 
@@ -884,56 +798,24 @@ impl Service {
         }
     }
 
-    /// Advances the window head to `slot`. First folds the drain's
-    /// touched cells, so the digest is exact; then, for each evicted
-    /// slot — at most `window_slots` of them, however far the head
-    /// jumps — folds its cells out of the digest and clears its dedup
-    /// map.
+    /// Advances the window head to `slot`, clearing the dedup map of
+    /// each evicted slot — at most `window_slots` of them, however far
+    /// the head jumps.
     fn advance_window(&mut self, slot: usize) {
-        self.fold_touched();
         let m = self.config.window_slots;
         let tail = self.window.tail_slot();
         let evicted = (slot - self.window.head_slot()).min(m);
-        for row in 0..evicted {
-            let abs_slot = tail + row;
-            let (sums, counts) = self.window.row_raw(row);
-            for (j, (&s, &c)) in sums.iter().zip(counts).enumerate() {
-                if c > 0.0 {
-                    self.digest ^= cell_hash(abs_slot, j as u32, s, c);
-                }
-            }
+        for abs_slot in tail..tail + evicted {
             self.seen[abs_slot % m].clear();
         }
         self.window.advance_to_slot(slot);
     }
 
-    /// Folds the cells the current drain touched into the digest: XOR
-    /// out each cell's state before its first touch, XOR in its current
-    /// state. Intermediate states cancel under XOR, so the digest equals
-    /// the one a per-report update would reach.
-    fn fold_touched(&mut self) {
-        let m = self.config.window_slots;
-        let tail = self.window.tail_slot();
-        for &(abs_slot, segment, old_sum, old_count) in &self.touched {
-            let (sum, count) = self.window.cell_raw(abs_slot - tail, segment as usize);
-            if old_count > 0.0 {
-                self.digest ^= cell_hash(abs_slot, segment, old_sum, old_count);
-            }
-            if count > 0.0 {
-                self.digest ^= cell_hash(abs_slot, segment, sum, count);
-            }
-            self.touched_bits.remove(abs_slot % m, segment as usize);
-        }
-        self.touched.clear();
-    }
-
-    /// Applies the admission rules to every queued report, then folds
-    /// the touched cells into the digest.
+    /// Applies the admission rules to every queued report.
     fn drain(&mut self, report: &mut TickReport) {
         while let Some(queued) = self.queue.pop_front() {
             self.admit(queued, report);
         }
-        self.fold_touched();
     }
 
     /// Drains the ingest queue through the admission rules, then — if
@@ -1013,7 +895,9 @@ impl Service {
 
     /// Runs one solve attempt on the current window even if nothing new
     /// arrived — the recovery path after degraded ticks, and the way to
-    /// refresh after [`Service::advance_clock`].
+    /// refresh after [`Service::advance_clock`]. The attempt takes the
+    /// path a dirty tick would: on unchanged content with a primed
+    /// estimator that is a warm pass, never a reuse of the last estimate.
     pub fn refresh(&mut self) -> TickReport {
         self.dirty = true;
         self.tick()
@@ -1059,20 +943,14 @@ impl Service {
             }
             return;
         }
-        // The slot is in range and not late; slide the window here (the
-        // digest eviction path) rather than letting `observe` do it, so
-        // every content change flows through the digest.
+        // The slot is in range and not late; slide the window here
+        // rather than letting `observe` do it, so every evicted slot's
+        // dedup map is cleared before its ring entry is reused.
         let abs_slot = slot.expect("late check above rules out None");
         if abs_slot > self.window.head_slot() {
             self.advance_window(abs_slot);
         }
         let ring = abs_slot % self.config.window_slots;
-        // First touch this drain: remember the cell's state for the fold.
-        if self.touched_bits.insert(ring, obs.segment) {
-            let row = abs_slot - self.window.tail_slot();
-            let (sum, count) = self.window.cell_raw(row, obs.segment);
-            self.touched.push((abs_slot, obs.segment as u32, sum, count));
-        }
         // Rule 3: exact re-delivery of an admitted key — last write wins.
         // One probe of the slot's dedup map both finds and records it.
         match self.seen[ring].entry((obs.vehicle, obs.timestamp_s, obs.segment)) {
@@ -1119,7 +997,7 @@ impl Service {
         self.dirty = true;
     }
 
-    /// Per-solve success bookkeeping shared by all three solve paths:
+    /// Per-solve success bookkeeping shared by both solve paths:
     /// the solves counter, the sweep-cap clamp, and the wall-clock half
     /// of the watchdog. Returns whether the solve blew its budget.
     fn settle_solved(&mut self, wall: Duration) -> bool {
@@ -1146,15 +1024,13 @@ impl Service {
     }
 
     /// Per-solve failure bookkeeping for a solver error or a non-finite
-    /// result: degraded accounting plus cache invalidation. The last
-    /// good estimate keeps answering, now flagged stale, and the window
-    /// stays dirty so the next tick retries.
+    /// result. The last good estimate keeps answering, now flagged
+    /// stale, and the window stays dirty so the next tick retries.
     fn settle_degraded(&mut self) {
         self.stats.degraded += 1;
         if telemetry::metrics_enabled() {
             telemetry::counter("serve.degraded").incr();
         }
-        self.last_solve_key = None;
         if let Some(last) = &mut self.last_good {
             last.stale = true;
         }
@@ -1174,48 +1050,23 @@ impl Service {
     fn takes_pass(&self) -> bool {
         self.config.incremental
             && self.estimator.primed()
-            // A zero digest means the window is (almost surely) empty;
-            // the full path owns the empty-window behaviour (a counted
-            // degradation), and the pass must not shadow it.
-            && self.digest != 0
             && self.last_good.as_ref().is_some_and(|last| {
                 self.window.head_slot().saturating_sub(last.head_slot) < self.config.window_slots
             })
+            // The full path owns the empty-window behaviour (a counted
+            // degradation), and the pass must not shadow it. The probe
+            // stops at the first observed cell.
+            && self.window.rows_raw().any(|(_, counts)| counts.iter().any(|&c| c > 0.0))
     }
 
     /// One watchdogged solve. Returns `(solved, degraded, wall_clock)`.
     ///
-    /// Cheapest path first: a solve-cache hit (window content
-    /// bit-identical to the last solved content, by [`Service::window_key`])
-    /// reuses the live estimate without touching the solver; a primed
-    /// estimator takes one warm pass; and everything else runs the full
-    /// warm sweep, which primes the estimator.
+    /// A primed estimator takes one warm pass; everything else runs the
+    /// full warm sweep, which primes the estimator.
     fn solve(&mut self) -> (bool, bool, Duration) {
-        let key = self.window_key();
         let mut span = telemetry::span(Level::Debug, "serve.solve");
         let t0 = Instant::now();
-        // Path 1: solve cache.
-        if self.last_good.is_some() && self.last_solve_key == Some(key) {
-            let wall = t0.elapsed();
-            self.solve_stats.cache_hits += 1;
-            if telemetry::metrics_enabled() {
-                telemetry::counter("serve.solve_cache_hit").incr();
-            }
-            let over_budget = self.settle_solved(wall);
-            if span.is_enabled() {
-                span.record("path", "cache");
-                span.record("over_budget", if over_budget { 1u64 } else { 0 });
-            }
-            let last = self.last_good.as_mut().expect("gated on is_some above");
-            last.solved_at_s = self.clock_s;
-            last.stale = over_budget;
-            return (true, over_budget, wall);
-        }
-        self.solve_stats.cache_misses += 1;
-        if telemetry::metrics_enabled() {
-            telemetry::counter("serve.solve_cache_miss").incr();
-        }
-        // Path 2: one warm pass, rewriting the live estimate in place
+        // Path 1: one warm pass, rewriting the live estimate in place
         // only when it succeeds with a finite objective.
         if self.takes_pass() {
             let units = (self.config.window_slots + self.config.num_segments) as u64;
@@ -1243,7 +1094,6 @@ impl Service {
                     last.sweeps = 1;
                     last.objective = objective;
                     self.last_good = Some(last);
-                    self.last_solve_key = Some(key);
                     return (true, over_budget, wall);
                 }
                 failed => {
@@ -1260,7 +1110,7 @@ impl Service {
                 }
             }
         }
-        // Path 3: full warm sweep.
+        // Path 2: full warm sweep.
         let snapshot = self.window.snapshot();
         let outcome = self.estimator.update_detailed(&snapshot);
         let wall = t0.elapsed();
@@ -1282,7 +1132,6 @@ impl Service {
                     sweeps: result.sweeps,
                     objective: result.objective,
                 });
-                self.last_solve_key = Some(key);
                 (true, over_budget, wall)
             }
             failed => {
@@ -1429,9 +1278,6 @@ impl Service {
             }
             self.estimator.set_warm_factors(r)?;
         }
-        // Restored factors change what the next solve would produce;
-        // any cached solve identity is void.
-        self.last_solve_key = None;
         self.advance_clock(clock);
         Ok(())
     }
@@ -1651,27 +1497,6 @@ mod tests {
         }
     }
 
-    /// The README recipe, recomputed from scratch: XOR-fold over every
-    /// observed cell of FNV-1a over the little-endian `(absolute slot,
-    /// segment, sum bits, count bits)`.
-    fn digest_from_scratch(s: &Service) -> u64 {
-        let tail = s.window.tail_slot();
-        let mut digest = 0;
-        for row in 0..s.config.window_slots {
-            let (sums, counts) = s.window.row_raw(row);
-            for (j, (&sum, &count)) in sums.iter().zip(counts).enumerate() {
-                if count > 0.0 {
-                    let mut h = telemetry::Fnv::new();
-                    for word in [(tail + row) as u64, j as u64, sum.to_bits(), count.to_bits()] {
-                        h.write_u64(word);
-                    }
-                    digest ^= h.finish();
-                }
-            }
-        }
-        digest
-    }
-
     /// What the admission rules must have done, tracked by plain clock
     /// arithmetic next to the service (grid start 0, 60 s slots).
     struct Model {
@@ -1700,9 +1525,6 @@ mod tests {
     }
 
     fn audit(s: &Service, model: &Model, at: &str) {
-        assert_eq!(s.digest, digest_from_scratch(s), "{at}: digest drifted from the recipe");
-        assert!(s.touched.is_empty(), "{at}: touched cells left unfolded");
-        assert!(s.touched_bits.bits.iter().all(|&w| w == 0), "{at}: stale touched bits");
         assert_eq!(s.window.head_slot(), model.head, "{at}: head slot");
         assert_eq!(s.stats.admitted, model.admitted, "{at}: admitted");
     }
@@ -1729,10 +1551,10 @@ mod tests {
     }
 
     #[test]
-    fn digest_matches_a_from_scratch_audit() {
-        // 70 segments span two bitset words. Rank 2 solves (warm passes
-        // and full sweeps alternate); rank 5 > window_slots fails every
-        // solve, so the window stays dirty across ticks.
+    fn admission_matches_a_clock_arithmetic_model() {
+        // Rank 2 solves (warm passes and full sweeps alternate); rank
+        // 5 > window_slots fails every solve, so the window stays dirty
+        // across ticks.
         for (rank, seed) in [(2, 1u64), (2, 2), (5, 3)] {
             let cfg = ServeConfig {
                 window_slots: 4,

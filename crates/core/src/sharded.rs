@@ -136,8 +136,6 @@ fn add_stats(into: &mut ServeStats, s: ServeStats) {
 }
 
 fn add_solve_stats(into: &mut SolveStats, s: SolveStats) {
-    into.cache_hits += s.cache_hits;
-    into.cache_misses += s.cache_misses;
     into.incremental_solves += s.incremental_solves;
     into.full_solves += s.full_solves;
     into.rows_resolved += s.rows_resolved;
@@ -350,16 +348,6 @@ impl ShardedService {
     /// The global stream clock: the fastest shard's clock.
     pub fn clock_s(&self) -> u64 {
         self.shards.iter().map(|s| s.service.clock_s()).max().unwrap_or(0)
-    }
-
-    /// FNV-1a over the per-shard window keys — changes iff some shard's
-    /// window content or head changed.
-    pub fn window_key(&self) -> u64 {
-        let mut fnv = telemetry::Fnv::new();
-        for shard in &self.shards {
-            fnv.write_u64(shard.service.window_key());
-        }
-        fnv.finish()
     }
 
     /// Wall-clock budget control, forwarded to every shard.

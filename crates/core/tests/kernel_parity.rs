@@ -7,6 +7,12 @@
 //! normal-equations sweep computed (materialized design matrix per unit,
 //! `solve_normal_equations`, `L·Rᵀ` via explicit transpose), pinning the
 //! refactor as a pure reimplementation rather than a numerical change.
+//!
+//! Every check that runs the solver on auto-dispatched kernels runs it
+//! twice: under auto dispatch and with the scalar reference forced
+//! through `set_kernel_override` (see [`on_auto_and_scalar`]).
+
+use std::sync::{Mutex, PoisonError};
 
 use linalg::kernel::{set_kernel_override, KernelVariant};
 use linalg::lstsq::{solve_normal_equations, GramScratch, RidgeSolver};
@@ -30,6 +36,25 @@ fn low_rank_tcm(m: usize, n: usize, rank: usize, integrity: f64, seed: u64) -> T
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mask = random_mask(m, n, integrity, &mut rng);
     Tcm::complete(truth).masked(&mask).expect("mask shape matches")
+}
+
+/// Serializes the tests that set the process-global kernel override, so
+/// one test's scalar leg never runs inside another's auto leg. A lock
+/// poisoned by a failed test is taken over: every holder sets the
+/// override itself before it solves.
+static OVERRIDE: Mutex<()> = Mutex::new(());
+
+/// Runs `check` under auto dispatch, then again with every solver forced
+/// onto the scalar reference, passing the leg's name for failure
+/// messages. A pinned check that passes both legs holds the fixed-rank
+/// kernels and the scalar reference to the same bits end to end.
+fn on_auto_and_scalar(check: impl Fn(&str)) {
+    let _serial = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
+    for (leg, forced) in [("auto", None), ("scalar", Some(KernelVariant::Scalar))] {
+        set_kernel_override(forced);
+        check(leg);
+    }
+    set_kernel_override(None);
 }
 
 proptest! {
@@ -128,35 +153,39 @@ fn reference_als(tcm: &Tcm, config: &CsConfig) -> (Matrix, f64) {
 /// seed it must reproduce the pre-refactor estimate bit for bit.
 #[test]
 fn kernel_path_equals_prerefactor_estimate_bitwise() {
-    for (m, n, rank, lambda, integrity, seed) in
-        [(30, 20, 3, 0.5, 0.5, 42), (48, 25, 2, 100.0, 0.25, 7), (20, 35, 4, 1e-3, 0.7, 99)]
-    {
-        let tcm = low_rank_tcm(m, n, rank + 1, integrity, seed);
-        let cfg = CsConfig {
-            rank,
-            lambda,
-            iterations: 12,
-            tol: 0.0,
-            seed: seed * 3 + 1,
-            num_threads: 1,
-            ..CsConfig::default()
-        };
-        let (expected, expected_objective) = reference_als(&tcm, &cfg);
-        let got = complete_matrix_detailed(&tcm, &cfg).unwrap();
-        assert!(
-            got.objective.to_bits() == expected_objective.to_bits(),
-            "objective differs: {} vs {} (m={m} n={n} rank={rank})",
-            got.objective,
-            expected_objective
-        );
-        assert_eq!(got.estimate.shape(), expected.shape());
-        for (idx, (x, y)) in got.estimate.as_slice().iter().zip(expected.as_slice()).enumerate() {
+    on_auto_and_scalar(|leg| {
+        for (m, n, rank, lambda, integrity, seed) in
+            [(30, 20, 3, 0.5, 0.5, 42), (48, 25, 2, 100.0, 0.25, 7), (20, 35, 4, 1e-3, 0.7, 99)]
+        {
+            let tcm = low_rank_tcm(m, n, rank + 1, integrity, seed);
+            let cfg = CsConfig {
+                rank,
+                lambda,
+                iterations: 12,
+                tol: 0.0,
+                seed: seed * 3 + 1,
+                num_threads: 1,
+                ..CsConfig::default()
+            };
+            let (expected, expected_objective) = reference_als(&tcm, &cfg);
+            let got = complete_matrix_detailed(&tcm, &cfg).unwrap();
             assert!(
-                x.to_bits() == y.to_bits(),
-                "entry {idx} differs bitwise: {x:?} vs {y:?} (m={m} n={n} rank={rank} λ={lambda})"
+                got.objective.to_bits() == expected_objective.to_bits(),
+                "{leg}: objective differs: {} vs {} (m={m} n={n} rank={rank})",
+                got.objective,
+                expected_objective
             );
+            assert_eq!(got.estimate.shape(), expected.shape());
+            for (idx, (x, y)) in got.estimate.as_slice().iter().zip(expected.as_slice()).enumerate()
+            {
+                assert!(
+                    x.to_bits() == y.to_bits(),
+                    "{leg}: entry {idx} differs bitwise: {x:?} vs {y:?} \
+                     (m={m} n={n} rank={rank} λ={lambda})"
+                );
+            }
         }
-    }
+    });
 }
 
 /// Same bitwise pin for the multi-threaded kernel path: threading moves
@@ -176,10 +205,15 @@ fn threaded_kernel_path_equals_prerefactor_estimate_bitwise() {
         ..CsConfig::default()
     };
     let (expected, _) = reference_als(&tcm, &cfg);
-    let got = complete_matrix(&tcm, &cfg).unwrap();
-    for (idx, (x, y)) in got.as_slice().iter().zip(expected.as_slice()).enumerate() {
-        assert!(x.to_bits() == y.to_bits(), "entry {idx} differs bitwise: {x:?} vs {y:?}");
-    }
+    on_auto_and_scalar(|leg| {
+        let got = complete_matrix(&tcm, &cfg).unwrap();
+        for (idx, (x, y)) in got.as_slice().iter().zip(expected.as_slice()).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits(),
+                "{leg}: entry {idx} differs bitwise: {x:?} vs {y:?}"
+            );
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -192,8 +226,8 @@ fn threaded_kernel_path_equals_prerefactor_estimate_bitwise() {
 // `regenerate_golden_vectors` (run with `--ignored --nocapture`) and
 // pinned: a toolchain or codegen change that flips a single bit in any
 // kernel variant fails with the exact lane named. Every variant that
-// supports the rank — scalar, unrolled, fixed-R — must land on the same
-// pinned bits, so this doubles as a cross-variant parity pin.
+// supports the rank — scalar and fixed-R — must land on the same pinned
+// bits, so this doubles as a cross-variant parity pin.
 // ---------------------------------------------------------------------
 
 /// λ for the golden problems: exactly representable, and large enough
@@ -579,39 +613,42 @@ mod golden {
 }
 
 /// The bitwise pre-refactor pin at the fixed-kernel ranks: rank 8 and
-/// rank 16 dispatch to `Fixed8`/`Fixed16` (feature on) or scalar
-/// (feature off), and either way must reproduce the allocating
-/// reference estimate and objective exactly.
+/// rank 16 dispatch to `Fixed8`/`Fixed16` (auto) or scalar (forced),
+/// and either way must reproduce the allocating reference estimate and
+/// objective exactly.
 #[test]
 fn fixed_rank_kernel_path_equals_prerefactor_estimate_bitwise() {
-    for (m, n, rank, lambda, integrity, seed, iterations) in
-        [(40, 26, 8, 0.5, 0.5, 3, 8), (36, 24, 16, 1.0, 0.7, 9, 6)]
-    {
-        let tcm = low_rank_tcm(m, n, rank + 1, integrity, seed);
-        let cfg = CsConfig {
-            rank,
-            lambda,
-            iterations,
-            tol: 0.0,
-            seed: seed * 5 + 2,
-            num_threads: 1,
-            ..CsConfig::default()
-        };
-        let (expected, expected_objective) = reference_als(&tcm, &cfg);
-        let got = complete_matrix_detailed(&tcm, &cfg).unwrap();
-        assert_eq!(
-            got.objective.to_bits(),
-            expected_objective.to_bits(),
-            "rank-{rank} objective differs: {} vs {expected_objective}",
-            got.objective
-        );
-        for (idx, (x, y)) in got.estimate.as_slice().iter().zip(expected.as_slice()).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits(),
-                "rank={rank} entry {idx} differs bitwise: {x:?} vs {y:?}"
+    on_auto_and_scalar(|leg| {
+        for (m, n, rank, lambda, integrity, seed, iterations) in
+            [(40, 26, 8, 0.5, 0.5, 3, 8), (36, 24, 16, 1.0, 0.7, 9, 6)]
+        {
+            let tcm = low_rank_tcm(m, n, rank + 1, integrity, seed);
+            let cfg = CsConfig {
+                rank,
+                lambda,
+                iterations,
+                tol: 0.0,
+                seed: seed * 5 + 2,
+                num_threads: 1,
+                ..CsConfig::default()
+            };
+            let (expected, expected_objective) = reference_als(&tcm, &cfg);
+            let got = complete_matrix_detailed(&tcm, &cfg).unwrap();
+            assert_eq!(
+                got.objective.to_bits(),
+                expected_objective.to_bits(),
+                "{leg}: rank-{rank} objective differs: {} vs {expected_objective}",
+                got.objective
             );
+            for (idx, (x, y)) in got.estimate.as_slice().iter().zip(expected.as_slice()).enumerate()
+            {
+                assert!(
+                    x.to_bits() == y.to_bits(),
+                    "{leg}: rank={rank} entry {idx} differs bitwise: {x:?} vs {y:?}"
+                );
+            }
         }
-    }
+    });
 }
 
 /// End-to-end `Service` replay parity across kernel variants: the same
@@ -620,11 +657,11 @@ fn fixed_rank_kernel_path_equals_prerefactor_estimate_bitwise() {
 /// bit-identical live estimates, and a checkpoint written by one must
 /// restore and re-checkpoint identically under the other. This is the
 /// system-level closure of the rig's 0-ulp policy — with no permitted
-/// divergence, the solve-cache window digests and chaos oracles cannot
-/// tell the kernels apart.
+/// divergence, the chaos oracles cannot tell the kernels apart.
 #[test]
 fn service_replay_is_kernel_variant_invariant() {
     use traffic_cs::service::{Observation, ServeConfig, Service};
+    let _serial = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
 
     fn replay_config() -> ServeConfig {
         ServeConfig::builder()
@@ -765,18 +802,20 @@ fn solve_digests(m: usize, n: usize, rank: usize, lambda: f64, threads: usize) -
 /// the `metro-sparse` shape scaled down; 8 × 1,024 at rank 4, a
 /// `wire-mixed` shard's rank), at 1, 2 and 8 threads. The pins were
 /// recorded with the one-unit-at-a-time solver, so any later kernel or
-/// batching change that moves a bit fails here, on both legs of the
-/// `kernel` feature.
+/// batching change that moves a bit fails here — under auto dispatch
+/// (the fixed-rank four-lane batches) and on the scalar reference.
 #[test]
 fn warm_pass_and_cold_solve_match_golden_digests() {
     const GOLDEN: [(usize, usize, usize, f64, u64, u64); 2] = [
         (16, 2048, 8, 0.1, 0xb777_c208_30f0_fad3, 0x2074_da24_c795_d942),
         (8, 1024, 4, 0.3, 0xa51f_23e0_545e_a717, 0x4e98_a2ef_a8b7_e37b),
     ];
-    for (m, n, rank, lambda, cold, warm) in GOLDEN {
-        for threads in [1usize, 2, 8] {
-            let got = solve_digests(m, n, rank, lambda, threads);
-            assert_eq!(got, (cold, warm), "{m}x{n} rank {rank} at {threads} threads");
+    on_auto_and_scalar(|leg| {
+        for (m, n, rank, lambda, cold, warm) in GOLDEN {
+            for threads in [1usize, 2, 8] {
+                let got = solve_digests(m, n, rank, lambda, threads);
+                assert_eq!(got, (cold, warm), "{leg}: {m}x{n} rank {rank} at {threads} threads");
+            }
         }
-    }
+    });
 }

@@ -2,6 +2,7 @@
 //! replay parity against the offline pipeline, thread-count invariance,
 //! and fault injection that must degrade counters — never the process.
 
+use linalg::Matrix;
 use probes::tcm::TcmBuilder;
 use traffic_cs::cs::{complete_matrix_detailed, CsConfig};
 use traffic_cs::service::{Backpressure, Observation, ServeConfig, Service, MAX_SPEED_KMH};
@@ -55,6 +56,11 @@ fn serve_cfg(window_slots: usize, threads: usize) -> ServeConfig {
         .queue_capacity(10_000)
         .build()
         .unwrap()
+}
+
+/// The IEEE bit patterns of a matrix's entries, row-major.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Replays observations through a service in chunks, ticking per chunk.
@@ -793,73 +799,27 @@ fn incremental_path_is_used_and_thread_invariant() {
 }
 
 #[test]
-fn duplicate_content_hits_the_solve_cache() {
-    // Exact re-delivery of every report lands the window's accumulator
-    // bits back where the last solve saw them (single report per cell,
-    // so the retract+observe arithmetic is exact), and the dirty tick is
-    // answered from the solve cache without touching the solver.
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
-    let reports: Vec<Observation> = (0..8u64)
-        .map(|k| Observation {
-            vehicle: k,
-            timestamp_s: (k % 4) * SLOT_LEN + 9,
-            segment: (k as usize) % SEGMENTS,
-            speed_kmh: 30.0 + k as f64,
-        })
-        .collect();
-    for &o in &reports {
-        assert!(service.push(o));
-    }
-    let first = service.tick();
-    assert!(first.solved);
-    assert_eq!(service.solve_stats().cache_hits, 0);
-    let est1: Vec<u64> =
-        service.latest().unwrap().estimate.as_slice().iter().map(|v| v.to_bits()).collect();
-    for &o in &reports {
-        assert!(service.push(o));
-    }
-    let second = service.tick();
-    assert!(second.solved && !second.degraded);
-    assert_eq!(second.duplicates, reports.len());
-    assert_eq!(service.solve_stats().cache_hits, 1, "{:?}", service.solve_stats());
-    assert_eq!(service.stats().solves, 2, "a cache hit still counts as a serviced solve");
-    let est2: Vec<u64> =
-        service.latest().unwrap().estimate.as_slice().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(est1, est2, "cache hit must return the identical estimate");
-    // refresh() on untouched content is also a hit; a fresh report is
-    // a miss again.
-    service.refresh();
-    assert_eq!(service.solve_stats().cache_hits, 2);
-    service.push(Observation {
-        vehicle: 99,
-        timestamp_s: 3 * SLOT_LEN,
-        segment: 0,
-        speed_kmh: 55.0,
-    });
-    service.tick();
-    assert_eq!(service.solve_stats().cache_hits, 2);
-    assert!(service.solve_stats().cache_misses >= 2);
-}
-
-#[test]
 fn solve_modes_agree_after_cold_restart_correction() {
     // A full-sweep-only service and an incremental one replaying the
-    // same stream must hold bit-identical window content throughout
-    // (same window_key), and converge to bit-identical estimates after
-    // the cold_restart + refresh correction — the invariant the chaos
-    // differential harness checks across modes.
+    // same stream must hold bit-identical window content, and converge
+    // to bit-identical estimates after the cold_restart + refresh
+    // correction — the invariant the chaos differential harness checks
+    // across modes.
     let observations = synth_observations(20);
     let full_only = ServeConfig { incremental: false, ..serve_cfg(8, 1) };
     let mut a = replay(full_only, &observations, 2);
     let mut b = replay(serve_cfg(8, 1), &observations, 2);
     assert_eq!(a.solve_stats().incremental_solves, 0, "incremental=false disables the delta path");
     assert!(b.solve_stats().incremental_solves > 0, "{:?}", b.solve_stats());
-    assert_eq!(a.window_key(), b.window_key(), "window content must not depend on solve mode");
     let (wa, wb) = (a.window_snapshot(), b.window_snapshot());
-    assert_eq!(wa.values().as_slice(), wb.values().as_slice());
     assert_eq!(
-        wa.indicator().as_slice(),
-        wb.indicator().as_slice(),
+        bits(wa.values()),
+        bits(wb.values()),
+        "window content must not depend on solve mode"
+    );
+    assert_eq!(
+        bits(wa.indicator()),
+        bits(wb.indicator()),
         "window cells must not depend on solve mode"
     );
     a.cold_restart().unwrap();
@@ -931,6 +891,42 @@ fn failed_or_non_finite_warm_pass_leaves_the_stale_estimate_untouched() {
     assert!(!report.solved && !report.degraded, "{report:?}");
     assert!(!s.latest().unwrap().stale);
     assert_eq!(served(&s), before, "rejected reports changed the live estimate");
+}
+
+#[test]
+fn a_slide_that_empties_the_window_degrades_instead_of_passing() {
+    // Every report lands in slot 0 of a 4-slot window, and the cold
+    // solve primes the warm pass. Sliding the head one slot evicts
+    // slot 0 and leaves the window empty but within a window of the
+    // last estimate: the warm pass must not run (it would publish an
+    // all-zero estimate as fresh). The full path fails on the empty
+    // window, so the tick degrades and the last good estimate keeps
+    // answering, flagged stale.
+    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    for seg in 0..SEGMENTS {
+        for probe in 0..3u64 {
+            service.push(Observation {
+                vehicle: 100 * probe + seg as u64,
+                timestamp_s: 7 + probe,
+                segment: seg,
+                speed_kmh: 30.0 + seg as f64 + probe as f64,
+            });
+        }
+    }
+    assert!(service.tick().solved);
+    let good = service.latest().unwrap().clone();
+    assert!(!good.stale);
+    assert_eq!(good.head_slot, 3);
+    let solves = service.stats().solves;
+
+    service.advance_clock(4 * SLOT_LEN);
+    let report = service.tick();
+    assert!(report.degraded && !report.solved, "{report:?}");
+    let live = service.latest().unwrap();
+    assert!(live.stale, "a degraded tick must flag the estimate stale");
+    assert_eq!(live.head_slot, good.head_slot);
+    assert_eq!(bits(&live.estimate), bits(&good.estimate), "the last good estimate was rewritten");
+    assert_eq!(service.stats().solves, solves, "an empty window counted as a solve");
 }
 
 /// SplitMix64 step: the long-horizon stream's only randomness.
@@ -1057,7 +1053,7 @@ fn far_future_report_ticks_promptly_and_is_admitted() {
     // One report at the end of the timestamp range evicts every slot at
     // once; it must not slide one slot at a time across ~3·10¹⁷ slots.
     let far = Observation { vehicle: 7, timestamp_s: u64::MAX - 1, segment: 2, speed_kmh: 33.0 };
-    let (report, warm_key, head, fresh_key) = within(Duration::from_secs(20), move || {
+    let (report, head, warm_window, fresh_window) = within(Duration::from_secs(20), move || {
         let mut warm = Service::new(serve_cfg(4, 1)).unwrap();
         for &o in &synth_observations(6) {
             warm.push(o);
@@ -1068,11 +1064,16 @@ fn far_future_report_ticks_promptly_and_is_admitted() {
         let mut fresh = Service::new(serve_cfg(4, 1)).unwrap();
         fresh.push(far);
         fresh.tick();
-        (report, warm.window_key(), warm.head_slot(), fresh.window_key())
+        (report, warm.head_slot(), warm.window_snapshot(), fresh.window_snapshot())
     });
     assert_eq!(report.admitted, 1);
     assert_eq!(head, ((u64::MAX - 1) / SLOT_LEN) as usize);
-    assert_eq!(warm_key, fresh_key, "every earlier cell must have left the digest");
+    assert_eq!(
+        bits(warm_window.values()),
+        bits(fresh_window.values()),
+        "every earlier cell must have left the window"
+    );
+    assert_eq!(bits(warm_window.indicator()), bits(fresh_window.indicator()));
 }
 
 #[test]

@@ -167,7 +167,9 @@ fn multi_shard_run_is_thread_count_invariant() {
         matrix_bits(&seq.latest().unwrap().estimate),
         matrix_bits(&par.latest().unwrap().estimate)
     );
-    assert_eq!(seq.window_key(), par.window_key());
+    let (ws, wp) = (seq.window_snapshot(), par.window_snapshot());
+    assert_eq!(matrix_bits(ws.values()), matrix_bits(wp.values()));
+    assert_eq!(matrix_bits(ws.indicator()), matrix_bits(wp.indicator()));
 }
 
 #[test]

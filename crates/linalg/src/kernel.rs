@@ -1,25 +1,23 @@
-//! Vectorized and fixed-rank Gram kernels.
+//! Fixed-rank Gram kernels.
 //!
 //! The ALS sweep spends nearly all of its time in two loops from
 //! [`crate::lstsq`]: [`accumulate_gram`]
 //! (rank-r outer products over the observed entries of a unit) and
 //! [`cholesky_solve_in_place`]
-//! (factor + two triangular solves). This module provides drop-in
-//! replacements that unroll those loops into explicit 4-wide f64 lanes,
-//! plus const-generic fixed-rank specializations ([`GramKernel`]) for the
-//! ranks the paper's experiments actually use (r ∈ {4, 8, 16}), where the
-//! compiler can emit fully unrolled, register-resident code with no
-//! dynamic trip counts at all.
+//! (factor + two triangular solves). This module provides const-generic
+//! fixed-rank replacements ([`GramKernel`]) for r ∈ {4, 8, 16} (the
+//! serve benchmark's workloads run ranks 4 and 8), where the compiler
+//! can emit fully unrolled, register-resident code with no dynamic trip
+//! counts at all.
 //!
 //! # Bit-exactness contract
 //!
 //! Every kernel in this module produces output **bit-for-bit identical**
 //! to the scalar reference in `lstsq` — not merely close. The repo's
-//! replay parity, solve-cache digests, chaos oracles, and checkpoint
-//! round-trips all compare exact bits, so a kernel that reassociated a
-//! single sum would be observable system-wide. The vectorization is
-//! therefore restricted to transformations that provably preserve IEEE
-//! semantics:
+//! replay parity, chaos oracles, and checkpoint round-trips all compare
+//! exact bits, so a kernel that reassociated a single sum would be
+//! observable system-wide. The vectorization is therefore restricted to
+//! transformations that provably preserve IEEE semantics:
 //!
 //! * In Gram accumulation each entry `g[i][j]` is an *independent*
 //!   accumulator receiving exactly one `row[i] * row[j]` product per
@@ -49,13 +47,12 @@
 //!
 //! # Selection
 //!
-//! [`KernelVariant::auto`] picks the best variant for a runtime rank.
-//! With the `kernel` cargo feature enabled (the default) it returns the
-//! fixed-rank kernel when `r ∈ {4, 8, 16}` and the unrolled kernel
-//! otherwise; built with `--no-default-features` it always returns
-//! [`KernelVariant::Scalar`]. Because all variants agree bitwise, the
-//! feature (and the bench-facing [`set_kernel_override`] hook) only ever
-//! changes speed, never results.
+//! [`KernelVariant::auto`] picks the variant for a runtime rank: the
+//! fixed-rank kernel when `r ∈ {4, 8, 16}` and the scalar reference
+//! otherwise. [`set_kernel_override`] forces a variant process-wide —
+//! `Some(KernelVariant::Scalar)` runs the whole pipeline on the scalar
+//! reference. Because all variants agree bitwise, the override only
+//! ever changes speed, never results.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -85,9 +82,6 @@ pub enum KernelVariant {
     /// kept as the bit-exact baseline every other variant is diffed
     /// against.
     Scalar,
-    /// Runtime-rank kernel with the inner loops unrolled into 4-wide
-    /// f64 lanes (exact triangle, scalar tail).
-    Unrolled,
     /// Fully monomorphized rank-4 kernel.
     Fixed4,
     /// Fully monomorphized rank-8 kernel.
@@ -98,9 +92,8 @@ pub enum KernelVariant {
 
 impl KernelVariant {
     /// All variants, scalar first — handy for exhaustive parity sweeps.
-    pub const ALL: [KernelVariant; 5] = [
+    pub const ALL: [KernelVariant; 4] = [
         KernelVariant::Scalar,
-        KernelVariant::Unrolled,
         KernelVariant::Fixed4,
         KernelVariant::Fixed8,
         KernelVariant::Fixed16,
@@ -110,7 +103,6 @@ impl KernelVariant {
     pub fn name(self) -> &'static str {
         match self {
             KernelVariant::Scalar => "scalar",
-            KernelVariant::Unrolled => "unrolled",
             KernelVariant::Fixed4 => "fixed4",
             KernelVariant::Fixed8 => "fixed8",
             KernelVariant::Fixed16 => "fixed16",
@@ -120,7 +112,7 @@ impl KernelVariant {
     /// Whether this variant can solve rank-`r` systems.
     pub fn supports(self, r: usize) -> bool {
         match self {
-            KernelVariant::Scalar | KernelVariant::Unrolled => true,
+            KernelVariant::Scalar => true,
             KernelVariant::Fixed4 => r == 4,
             KernelVariant::Fixed8 => r == 8,
             KernelVariant::Fixed16 => r == 16,
@@ -132,31 +124,20 @@ impl KernelVariant {
         Self::ALL.into_iter().filter(move |v| v.supports(r))
     }
 
-    /// Picks the variant for a runtime rank: the fixed-rank kernel when
-    /// one exists, the unrolled kernel otherwise — unless the `kernel`
-    /// feature is off (`--no-default-features`), which forces
-    /// [`KernelVariant::Scalar`] and ignores any override.
+    /// Picks the variant for a runtime rank: the override installed by
+    /// [`set_kernel_override`] when it supports `r`, else the fixed-rank
+    /// kernel when one exists and the scalar reference otherwise. An
+    /// override that cannot serve `r` falls back to that choice rather
+    /// than panicking mid-sweep.
     pub fn auto(r: usize) -> KernelVariant {
-        if !cfg!(feature = "kernel") {
-            return KernelVariant::Scalar;
-        }
-        if let Some(forced) = kernel_override() {
-            if forced.supports(r) {
-                return forced;
-            }
-            // A forced fixed-rank kernel that can't serve this rank
-            // degrades to the nearest family member, not to a panic:
-            // benches force Fixed8 once and still solve warmup ranks.
-            if forced == KernelVariant::Scalar {
-                return KernelVariant::Scalar;
-            }
-            return KernelVariant::Unrolled;
-        }
-        match r {
-            4 => KernelVariant::Fixed4,
-            8 => KernelVariant::Fixed8,
-            16 => KernelVariant::Fixed16,
-            _ => KernelVariant::Unrolled,
+        match kernel_override() {
+            Some(forced) if forced.supports(r) => forced,
+            _ => match r {
+                4 => KernelVariant::Fixed4,
+                8 => KernelVariant::Fixed8,
+                16 => KernelVariant::Fixed16,
+                _ => KernelVariant::Scalar,
+            },
         }
     }
 
@@ -177,7 +158,6 @@ impl KernelVariant {
     ) {
         match self {
             KernelVariant::Scalar => accumulate_gram(rows, lambda, gram, rhs),
-            KernelVariant::Unrolled => accumulate_gram_unrolled(rows, lambda, gram, rhs),
             KernelVariant::Fixed4 => GramKernel::<4>::accumulate(rows, lambda, gram, rhs),
             KernelVariant::Fixed8 => GramKernel::<8>::accumulate(rows, lambda, gram, rhs),
             KernelVariant::Fixed16 => GramKernel::<16>::accumulate(rows, lambda, gram, rhs),
@@ -206,7 +186,6 @@ impl KernelVariant {
     ) -> Result<(), SolveError> {
         match self {
             KernelVariant::Scalar => cholesky_solve_in_place(gram, rhs, y, out),
-            KernelVariant::Unrolled => cholesky_solve_in_place_unrolled(gram, rhs, y, out),
             KernelVariant::Fixed4 => GramKernel::<4>::solve_in_place(gram, rhs, y, out),
             KernelVariant::Fixed8 => GramKernel::<8>::solve_in_place(gram, rhs, y, out),
             KernelVariant::Fixed16 => GramKernel::<16>::solve_in_place(gram, rhs, y, out),
@@ -216,20 +195,18 @@ impl KernelVariant {
     fn to_code(self) -> u8 {
         match self {
             KernelVariant::Scalar => 1,
-            KernelVariant::Unrolled => 2,
-            KernelVariant::Fixed4 => 3,
-            KernelVariant::Fixed8 => 4,
-            KernelVariant::Fixed16 => 5,
+            KernelVariant::Fixed4 => 2,
+            KernelVariant::Fixed8 => 3,
+            KernelVariant::Fixed16 => 4,
         }
     }
 
     fn from_code(code: u8) -> Option<KernelVariant> {
         match code {
             1 => Some(KernelVariant::Scalar),
-            2 => Some(KernelVariant::Unrolled),
-            3 => Some(KernelVariant::Fixed4),
-            4 => Some(KernelVariant::Fixed8),
-            5 => Some(KernelVariant::Fixed16),
+            2 => Some(KernelVariant::Fixed4),
+            3 => Some(KernelVariant::Fixed8),
+            4 => Some(KernelVariant::Fixed16),
             _ => None,
         }
     }
@@ -246,11 +223,11 @@ impl std::fmt::Display for KernelVariant {
 static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Forces every subsequently constructed `GramScratch` onto `variant`
-/// (or restores auto-selection with `None`). A bench/diagnostic hook:
-/// because all variants are bit-identical, flipping the override can
-/// change throughput but never results, so it is safe even with
-/// concurrently running solvers. Ignored when the `kernel` feature is
-/// off — `--no-default-features` builds always run scalar.
+/// (or restores auto-selection with `None`). A bench/diagnostic hook,
+/// and the one way to run the whole pipeline on the scalar reference
+/// (`Some(KernelVariant::Scalar)`): because all variants are
+/// bit-identical, flipping the override can change throughput but never
+/// results, so it is safe even with concurrently running solvers.
 ///
 /// Scratches constructed *before* the call keep their variant; use
 /// `GramScratch::with_variant` for scoped, local control in tests.
@@ -261,55 +238,6 @@ pub fn set_kernel_override(variant: Option<KernelVariant>) {
 /// The override currently installed by [`set_kernel_override`], if any.
 pub fn kernel_override() -> Option<KernelVariant> {
     KernelVariant::from_code(KERNEL_OVERRIDE.load(Ordering::Relaxed))
-}
-
-/// Runtime-rank Gram accumulation with the inner product loop split
-/// into explicit 4-wide f64 lanes (exact lower triangle, scalar tail
-/// for `(i+1) % 4` entries).
-///
-/// Bit-for-bit identical to
-/// [`accumulate_gram`]: each Gram entry
-/// is its own accumulator, so distributing entries across lanes never
-/// reassociates any individual sum.
-///
-/// # Panics
-///
-/// Panics when `gram.len() != rhs.len()²` or a design row is shorter
-/// than `rhs.len()`.
-pub fn accumulate_gram_unrolled<'a>(
-    rows: impl Iterator<Item = (&'a [f64], f64)>,
-    lambda: f64,
-    gram: &mut [f64],
-    rhs: &mut [f64],
-) {
-    let r = rhs.len();
-    assert_eq!(gram.len(), r * r, "gram buffer must be r*r");
-    gram.fill(0.0);
-    rhs.fill(0.0);
-    for (row, y) in rows {
-        let row = &row[..r];
-        for i in 0..r {
-            let di = row[i];
-            let len = i + 1;
-            let main = len & !3;
-            let gi = &mut gram[i * r..i * r + len];
-            let (g_main, g_tail) = gi.split_at_mut(main);
-            let (r_main, r_tail) = row[..len].split_at(main);
-            for (g4, r4) in g_main.chunks_exact_mut(4).zip(r_main.chunks_exact(4)) {
-                g4[0] += di * r4[0];
-                g4[1] += di * r4[1];
-                g4[2] += di * r4[2];
-                g4[3] += di * r4[3];
-            }
-            for (g, &v) in g_tail.iter_mut().zip(r_tail) {
-                *g += di * v;
-            }
-            rhs[i] += di * y;
-        }
-    }
-    for i in 0..r {
-        gram[i * r + i] += lambda;
-    }
 }
 
 /// `sum - Σ a[k]·b[k]`, accumulated strictly left to right — the same
@@ -336,10 +264,9 @@ fn fold_neg_dot(mut sum: f64, a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
-/// Shared Cholesky + substitution body: callers pass the rank so the
-/// fixed-rank wrappers can hand the compiler a compile-time constant
-/// (`#[inline(always)]` + const propagation fully unrolls the loops)
-/// while the runtime-rank wrapper reuses the identical arithmetic.
+/// Cholesky + substitution body: [`GramKernel::solve_in_place`] passes
+/// its rank `R`, so `#[inline(always)]` + const propagation hand the
+/// compiler constant trip counts and the loops fully unroll.
 ///
 /// Operation-for-operation the same float sequence as the scalar
 /// [`cholesky_solve_in_place`]:
@@ -400,28 +327,6 @@ fn cholesky_solve_impl(
         out[i] = acc / gram[i * r + i];
     }
     Ok(())
-}
-
-/// Runtime-rank in-place Cholesky solve with 4×-unrolled (but strictly
-/// order-preserving) reductions. Bit-for-bit identical to
-/// [`cholesky_solve_in_place`].
-///
-/// # Errors
-///
-/// Returns [`SolveError::NotPositiveDefinite`] exactly when the scalar
-/// reference does, with the same pivot index.
-///
-/// # Panics
-///
-/// Panics when the buffer lengths disagree (`gram` must be `r²`, `y`
-/// and `out` must be `r` where `r = rhs.len()`).
-pub fn cholesky_solve_in_place_unrolled(
-    gram: &mut [f64],
-    rhs: &[f64],
-    y: &mut [f64],
-    out: &mut [f64],
-) -> Result<(), SolveError> {
-    cholesky_solve_impl(rhs.len(), gram, rhs, y, out)
 }
 
 /// Const-generic fixed-rank Gram/Cholesky kernel. `R` must be a
@@ -615,25 +520,20 @@ mod tests {
     #[test]
     fn auto_picks_fixed_rank_when_available() {
         set_kernel_override(None);
-        if cfg!(feature = "kernel") {
-            assert_eq!(KernelVariant::auto(4), KernelVariant::Fixed4);
-            assert_eq!(KernelVariant::auto(8), KernelVariant::Fixed8);
-            assert_eq!(KernelVariant::auto(16), KernelVariant::Fixed16);
-            assert_eq!(KernelVariant::auto(5), KernelVariant::Unrolled);
-            assert_eq!(KernelVariant::auto(1), KernelVariant::Unrolled);
-        } else {
-            for r in [1, 4, 5, 8, 16, 17] {
-                assert_eq!(KernelVariant::auto(r), KernelVariant::Scalar);
-            }
+        assert_eq!(KernelVariant::auto(4), KernelVariant::Fixed4);
+        assert_eq!(KernelVariant::auto(8), KernelVariant::Fixed8);
+        assert_eq!(KernelVariant::auto(16), KernelVariant::Fixed16);
+        for r in [1, 2, 3, 5, 12, 17] {
+            assert_eq!(KernelVariant::auto(r), KernelVariant::Scalar, "rank {r}");
         }
     }
 
     #[test]
     fn supported_lists_scalar_first() {
         let at_8: Vec<_> = KernelVariant::supported(8).collect();
-        assert_eq!(at_8, [KernelVariant::Scalar, KernelVariant::Unrolled, KernelVariant::Fixed8]);
+        assert_eq!(at_8, [KernelVariant::Scalar, KernelVariant::Fixed8]);
         let at_5: Vec<_> = KernelVariant::supported(5).collect();
-        assert_eq!(at_5, [KernelVariant::Scalar, KernelVariant::Unrolled]);
+        assert_eq!(at_5, [KernelVariant::Scalar]);
     }
 
     #[test]

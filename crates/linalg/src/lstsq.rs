@@ -182,7 +182,7 @@ pub fn solve_normal_equations(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Mat
 /// design matrix: both accumulate each entry's partial products in
 /// observation order.
 ///
-/// This is the *scalar reference kernel*: the vectorized variants in
+/// This is the *scalar reference kernel*: the fixed-rank variants in
 /// [`crate::kernel`] are verified bit-for-bit against it.
 ///
 /// # Panics
@@ -223,7 +223,7 @@ pub fn accumulate_gram<'a>(
 /// The arithmetic replays [`cholesky`] + [`solve_spd`] operation for
 /// operation (same loop order, same association), so the result is
 /// bit-for-bit identical to the allocating route. This is the *scalar
-/// reference kernel* the vectorized variants in [`crate::kernel`] are
+/// reference kernel* the fixed-rank variants in [`crate::kernel`] are
 /// verified against.
 ///
 /// # Errors
@@ -292,16 +292,16 @@ pub fn cholesky_solve_in_place(
 ///
 /// Construction picks a kernel implementation via
 /// [`KernelVariant::auto`] — the fixed-rank kernel for r ∈ {4, 8, 16},
-/// the 4-lane unrolled kernel otherwise, or the scalar reference when
-/// the `kernel` feature is disabled. All variants are bit-for-bit
-/// identical, so the choice affects speed only.
+/// the scalar reference otherwise or under a scalar override. All
+/// variants are bit-for-bit identical, so the choice affects speed only.
 #[derive(Debug, Clone)]
 pub struct GramScratch {
     r: usize,
     variant: KernelVariant,
     /// [`LANES`] Gram systems: lane-interleaved (`[[Lane; r]; r]`) for
     /// the fixed-rank kernels, one row-major `r × r` block per lane for
-    /// the others. A one-unit solve uses the first `r × r` entries.
+    /// the scalar reference. A one-unit solve uses the first `r × r`
+    /// entries.
     gram: Vec<f64>,
     /// [`LANES`] right-hand sides, laid out like `gram`.
     rhs: Vec<f64>,
@@ -436,10 +436,10 @@ impl GramScratch {
             KernelVariant::Fixed4 => self.accumulate_fixed::<4>(rows, lambda, lane),
             KernelVariant::Fixed8 => self.accumulate_fixed::<8>(rows, lambda, lane),
             KernelVariant::Fixed16 => self.accumulate_fixed::<16>(rows, lambda, lane),
-            variant => {
+            KernelVariant::Scalar => {
                 let r = self.r;
                 let gram = &mut self.gram[lane * r * r..(lane + 1) * r * r];
-                variant.accumulate(rows, lambda, gram, &mut self.rhs[lane * r..(lane + 1) * r]);
+                accumulate_gram(rows, lambda, gram, &mut self.rhs[lane * r..(lane + 1) * r]);
             }
         }
     }
@@ -449,8 +449,8 @@ impl GramScratch {
     /// `out[k·r..(k+1)·r]` — bit for bit what
     /// [`GramScratch::solve_ridge_rows`] gives for that unit, zeros for
     /// an empty one included. The fixed-rank variants factor the lanes
-    /// side by side ([`GramKernel::solve_lanes`]); the scalar and
-    /// unrolled variants solve them one after another. Empty units need
+    /// side by side ([`GramKernel::solve_lanes`]); the scalar reference
+    /// solves them one after another. Empty units need
     /// no factorization, so a batch of only empty units costs none: on
     /// a sparse window most groups of columns are empty.
     ///
@@ -477,7 +477,7 @@ impl GramScratch {
             KernelVariant::Fixed4 => self.solve_fixed::<4>(out),
             KernelVariant::Fixed8 => self.solve_fixed::<8>(out),
             KernelVariant::Fixed16 => self.solve_fixed::<16>(out),
-            variant => {
+            KernelVariant::Scalar => {
                 let mut failed = [None; LANES];
                 for ((lane, row), fail) in out.chunks_exact_mut(r).enumerate().zip(&mut failed) {
                     if empty[lane] {
@@ -486,7 +486,7 @@ impl GramScratch {
                     let gram = &mut self.gram[lane * r * r..(lane + 1) * r * r];
                     let rhs = &self.rhs[lane * r..(lane + 1) * r];
                     if let Err(SolveError::NotPositiveDefinite { index }) =
-                        variant.solve_in_place(gram, rhs, &mut self.y, row)
+                        cholesky_solve_in_place(gram, rhs, &mut self.y, row)
                     {
                         *fail = Some(index);
                     }

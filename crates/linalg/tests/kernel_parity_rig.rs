@@ -1,7 +1,7 @@
 //! Kernel-parity differential rig.
 //!
-//! Drives the scalar reference, the 4-lane unrolled kernel, and the
-//! fixed-rank kernels over adversarial geometries — r = 1..=17, empty
+//! Drives the scalar reference and the fixed-rank kernels over
+//! adversarial geometries — r = 1..=17, empty
 //! axes (zero observation rows), single-observation rows, subnormal and
 //! huge-magnitude values, λ sweeps including λ = 0 — and diffs every
 //! intermediate (Gram lower triangle, RHS) and final (solution vector or
@@ -13,9 +13,8 @@
 //! admit a documented reassociation, but every *shipped* kernel is
 //! gated at **0 ulps** (`SHIPPED_MAX_ULPS`): the variants restrict
 //! themselves to transformations that preserve the scalar op order per
-//! accumulator (see `linalg::kernel`), and the repo's replay parity,
-//! solve-cache digests, and chaos oracles all compare exact bits, so no
-//! divergence is permitted. Because the shipped budget is zero, there
+//! accumulator (see `linalg::kernel`), and the repo's replay parity and
+//! chaos oracles compare exact bits, so no divergence is permitted. Because the shipped budget is zero, there
 //! is no "permitted divergence" to replay through `Service`; the
 //! stronger end-to-end statement — scalar vs. auto kernels produce
 //! byte-identical `Service` replays — is pinned in
@@ -301,29 +300,23 @@ fn ulp_distance_is_calibrated() {
 }
 
 /// The process-global override steers `GramScratch::new` (and nothing
-/// else): scratches pin their variant at construction, unsupported
-/// fixed-rank overrides degrade to the unrolled family, and with the
-/// `kernel` feature off the override is ignored entirely.
+/// else): scratches pin their variant at construction, and a fixed-rank
+/// override that cannot serve the rank falls back to auto selection.
 #[test]
 fn kernel_override_controls_auto_selection() {
     set_kernel_override(None);
-    let auto8 = GramScratch::new(8).variant();
-    if cfg!(feature = "kernel") {
-        assert_eq!(auto8, KernelVariant::Fixed8);
-        set_kernel_override(Some(KernelVariant::Scalar));
-        assert_eq!(GramScratch::new(8).variant(), KernelVariant::Scalar);
-        set_kernel_override(Some(KernelVariant::Unrolled));
-        assert_eq!(GramScratch::new(8).variant(), KernelVariant::Unrolled);
-        // A fixed-rank override that cannot serve the rank degrades to
-        // unrolled rather than panicking mid-sweep.
-        set_kernel_override(Some(KernelVariant::Fixed4));
-        assert_eq!(GramScratch::new(8).variant(), KernelVariant::Unrolled);
-        assert_eq!(GramScratch::new(4).variant(), KernelVariant::Fixed4);
-    } else {
-        assert_eq!(auto8, KernelVariant::Scalar);
-        set_kernel_override(Some(KernelVariant::Unrolled));
-        assert_eq!(GramScratch::new(8).variant(), KernelVariant::Scalar);
-    }
+    assert_eq!(GramScratch::new(8).variant(), KernelVariant::Fixed8);
+    assert_eq!(GramScratch::new(5).variant(), KernelVariant::Scalar);
+    set_kernel_override(Some(KernelVariant::Scalar));
+    let pinned = GramScratch::new(8);
+    assert_eq!(pinned.variant(), KernelVariant::Scalar);
+    // A fixed-rank override that cannot serve the rank falls back to
+    // the auto choice rather than panicking mid-sweep.
+    set_kernel_override(Some(KernelVariant::Fixed4));
+    assert_eq!(GramScratch::new(8).variant(), KernelVariant::Fixed8);
+    assert_eq!(GramScratch::new(5).variant(), KernelVariant::Scalar);
+    assert_eq!(GramScratch::new(4).variant(), KernelVariant::Fixed4);
+    assert_eq!(pinned.variant(), KernelVariant::Scalar, "a built scratch keeps its variant");
     set_kernel_override(None);
 }
 

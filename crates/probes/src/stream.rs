@@ -230,21 +230,11 @@ impl StreamingTcm {
         self.counts.iter().flat_map(|row| row.iter()).filter(|&&c| c > 0.0).count()
     }
 
-    /// Raw accumulator state of one cell: `(sum, count)` for window row
-    /// `row` (0 = oldest slot) and segment column `segment`. The cell's
-    /// snapshot value is `sum / count` when `count > 0`; exposing the
-    /// raw pair lets callers hash or re-derive cell content without
-    /// materializing a snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `row >= window_slots` or `segment >= num_segments`.
-    pub fn cell_raw(&self, row: usize, segment: usize) -> (f64, f64) {
-        (self.sums[row][segment], self.counts[row][segment])
-    }
-
     /// Raw accumulator state of one window row: `(sums, counts)` slices
     /// of length `num_segments` for window row `row` (0 = oldest slot).
+    /// A cell's snapshot value is `sum / count` when `count > 0`; the raw
+    /// pair lets callers re-derive cell content without materializing a
+    /// snapshot.
     ///
     /// # Panics
     ///
@@ -299,8 +289,6 @@ mod tests {
         let mut s = StreamingTcm::new(0, 60, 5, 2).unwrap();
         s.observe(0, 0, 10.0).unwrap();
         s.observe(59, 0, 20.0).unwrap();
-        assert_eq!(s.cell_raw(0, 0), (30.0, 2.0));
-        assert_eq!(s.cell_raw(0, 1), (0.0, 0.0));
         let (sums, counts) = s.row_raw(0);
         assert_eq!(sums, &[30.0, 0.0]);
         assert_eq!(counts, &[2.0, 0.0]);
@@ -347,7 +335,7 @@ mod tests {
         s.observe(120, 0, 30.0).unwrap(); // slot 2
         s.advance_to_slot(4); // evicts slots 0 and 1
         assert_eq!(s.tail_slot(), 2);
-        assert_eq!(s.cell_raw(0, 0), (30.0, 1.0));
+        assert_eq!(s.row_raw(0), (&[30.0, 0.0][..], &[1.0, 0.0][..]));
         assert_eq!(s.observed_cells(), 1);
         // A jump to the end of the slot grid is one pass over the window,
         // not one slide per skipped slot.
@@ -356,7 +344,7 @@ mod tests {
         assert_eq!(s.head_slot(), far);
         assert_eq!(s.observed_cells(), 0);
         s.observe(u64::MAX, 1, 40.0).unwrap();
-        assert_eq!(s.cell_raw(2, 1), (40.0, 1.0));
+        assert_eq!(s.row_raw(2), (&[0.0, 40.0][..], &[0.0, 1.0][..]));
     }
 
     #[test]
