@@ -193,14 +193,15 @@ pub fn print_weighted(result: (f64, f64)) {
     println!("   (cell noise ∝ 1/√probes; weighting should help)\n");
 }
 
-/// Streaming-service replay parity: the same masked TCM streamed through
-/// [`traffic_cs::service::Service`] observation by observation and
+/// Streaming-engine replay parity: the same masked TCM streamed through
+/// [`traffic_cs::ShardedService`] observation by observation and
 /// solved once must reproduce the offline Algorithm-1 estimate **bit for
 /// bit**; fault injection on a second pass shows the admission counters
 /// absorbing bad input without losing the answer. Returns
 /// `(observations, parity max |Δ|, admitted, rejected, late, duplicates)`.
 pub fn serve_replay(quick: bool) -> (u64, f64, u64, u64, u64, u64) {
-    use traffic_cs::service::{Observation, ServeConfig, Service};
+    use traffic_cs::service::{Observation, ServeConfig};
+    use traffic_cs::ShardedService;
     let ds = dataset(quick);
     let truth = &ds.truth;
     let (m, n) = truth.values().shape();
@@ -219,7 +220,7 @@ pub fn serve_replay(quick: bool) -> (u64, f64, u64, u64, u64, u64) {
         .queue_capacity(m * n + 1)
         .build()
         .expect("valid serve config");
-    let mut service = Service::new(cfg.clone()).expect("service constructs");
+    let mut service = ShardedService::new(cfg.clone()).expect("engine constructs");
     let mut observations = 0u64;
     for slot in 0..m {
         for seg in 0..n {
@@ -246,7 +247,7 @@ pub fn serve_replay(quick: bool) -> (u64, f64, u64, u64, u64, u64) {
 
     // Fault pass: same stream plus malformed, late, and duplicate
     // reports — the service must absorb them into counters.
-    let mut faulty = Service::new(cfg).expect("service constructs");
+    let mut faulty = ShardedService::new(cfg).expect("engine constructs");
     for slot in 0..m {
         for seg in 0..n {
             if let Some(speed) = tcm.get(slot, seg) {

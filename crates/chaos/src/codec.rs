@@ -94,10 +94,10 @@ pub fn corrupt_line(line: &str, fault: LineFault, num_segments: usize) -> String
 }
 
 /// Corruptions applied to a serialized service checkpoint. Every one of
-/// these must make [`Service::restore`] fail — the differential oracle
-/// asserts exactly that.
+/// these must make [`ShardedService::restore`] fail — the differential
+/// oracle asserts exactly that.
 ///
-/// [`Service::restore`]: traffic_cs::Service::restore
+/// [`ShardedService::restore`]: traffic_cs::ShardedService::restore
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointFault {
     /// Bump the format version in the header line.

@@ -13,8 +13,8 @@
 //!    watchdog knobs, and checkpoint corruption.
 //! 2. **A simulation run** ([`sim::run`]) — a synthetic probe stream
 //!    from the `traffic-sim` ground-truth model replayed tick by tick
-//!    through a real [`Service`], with the plan's faults injected into
-//!    the byte stream, and every injection logged.
+//!    through a real [`ShardedService`], with the plan's faults
+//!    injected into the byte stream, and every injection logged.
 //! 3. **A differential oracle** ([`oracle::Mirror`]) — an independent
 //!    re-implementation of the admission/backpressure/window semantics
 //!    that predicts every counter exactly and the final window
@@ -33,7 +33,7 @@
 //! against a live sharded daemon, with a predicted-delivered replay as
 //! the oracle — `cs-traffic-cli chaos-net` runs the sweep.
 //!
-//! [`Service`]: traffic_cs::Service
+//! [`ShardedService`]: traffic_cs::ShardedService
 
 pub mod codec;
 pub mod net;

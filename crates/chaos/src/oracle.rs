@@ -3,8 +3,8 @@
 //! solve-scheduling semantics, built on plain `Vec`s and a modular ring
 //! instead of the service's `VecDeque` machinery.
 //!
-//! The mirror is fed the *same* observation stream as the real
-//! [`Service`] and predicts, exactly:
+//! The mirror is fed the *same* observation stream as a real one-shard
+//! [`ShardedService`] and predicts, exactly:
 //!
 //! * every [`ServeStats`] counter (admitted / rejected / dropped_late /
 //!   duplicates / queue_dropped / solves / degraded),
@@ -16,12 +16,12 @@
 //! `probes::StreamingTcm`), agreement is evidence of correct behaviour
 //! rather than of a common bug.
 //!
-//! [`Service`]: traffic_cs::Service
+//! [`ShardedService`]: traffic_cs::ShardedService
 
 use std::collections::{HashMap, VecDeque};
 use traffic_cs::service::{Backpressure, Observation, ServeStats, MAX_SPEED_KMH};
 
-/// Independent model of one `Service`'s observable state.
+/// Independent model of a one-shard engine's observable state.
 #[derive(Debug, Clone)]
 pub struct Mirror {
     start_s: u64,
@@ -85,7 +85,7 @@ impl Mirror {
         self.stats
     }
 
-    /// Predicts `Service::latest().is_some()`.
+    /// Predicts `ShardedService::latest().is_some()`.
     pub fn has_estimate(&self) -> bool {
         self.has_estimate
     }
@@ -196,10 +196,13 @@ impl Mirror {
         }
     }
 
-    /// Mirrors `Service::refresh` (no sabotage active).
+    /// Mirrors `ShardedService::refresh` (no sabotage active): an
+    /// engine that never admitted a report has nothing to solve.
     pub fn refresh(&mut self) {
-        self.dirty = true;
-        self.predict_solve(false);
+        if self.stats.admitted > 0 {
+            self.dirty = true;
+            self.predict_solve(false);
+        }
     }
 
     /// The solve contract: a non-empty dirty window always solves (the
@@ -220,7 +223,7 @@ impl Mirror {
 
     /// Materializes the predicted window as a [`probes::Tcm`], row 0 =
     /// oldest slot — for bit-for-bit comparison against
-    /// `Service::window_snapshot` and for the offline replay solve.
+    /// `ShardedService::window_snapshot` and for the offline replay solve.
     pub fn expected_tcm(&self) -> probes::Tcm {
         let m = self.window_slots;
         let n = self.num_segments;
@@ -244,13 +247,13 @@ impl Mirror {
 mod tests {
     use super::*;
     use traffic_cs::service::ServeConfig;
-    use traffic_cs::Service;
+    use traffic_cs::ShardedService;
 
     fn obs(vehicle: u64, ts: u64, segment: usize, speed: f64) -> Observation {
         Observation { vehicle, timestamp_s: ts, segment, speed_kmh: speed }
     }
 
-    fn pair(policy: Backpressure, capacity: usize) -> (Service, Mirror) {
+    fn pair(policy: Backpressure, capacity: usize) -> (ShardedService, Mirror) {
         let cfg = ServeConfig::builder()
             .start_s(600)
             .slot_len_s(60)
@@ -260,7 +263,7 @@ mod tests {
             .backpressure(policy)
             .build()
             .unwrap();
-        let service = Service::new(cfg).unwrap();
+        let service = ShardedService::new(cfg).unwrap();
         let mirror = Mirror::new(600, 60, 4, 3, capacity, policy);
         (service, mirror)
     }
@@ -317,12 +320,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_window_refresh_predicts_degraded() {
+    fn refresh_of_a_never_fed_engine_attempts_no_solve() {
         let (mut service, mut mirror) = pair(Backpressure::DropNewest, 8);
         service.refresh();
         mirror.refresh();
         assert_eq!(service.stats(), mirror.stats());
-        assert_eq!(mirror.stats().degraded, 1);
+        assert_eq!(mirror.stats().degraded, 0);
+        assert_eq!(mirror.stats().solves, 0);
         assert!(!mirror.has_estimate());
         assert!(service.latest().is_none());
     }

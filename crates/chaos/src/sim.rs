@@ -1,5 +1,5 @@
 //! The simulation driver: replays a synthetic probe stream through a
-//! real [`Service`] tick by tick while the [`FaultPlan`] injects
+//! real [`ShardedService`] tick by tick while the [`FaultPlan`] injects
 //! corruption, and a [`Mirror`] independently predicts what the service
 //! must do about it.
 //!
@@ -8,7 +8,7 @@
 //! therefore fully reproducible from the seed alone — that is the
 //! contract the CI sweep relies on.
 //!
-//! [`Service`]: traffic_cs::Service
+//! [`ShardedService`]: traffic_cs::ShardedService
 
 use crate::codec;
 use crate::oracle::Mirror;
@@ -69,8 +69,8 @@ pub struct ChaosConfig {
     /// fault log and the post-audit estimate.
     pub full_sweep_only: bool,
     /// Segment-range shard workers for the engine under test. `1` (the
-    /// default) is a bitwise pass-through of the classic single
-    /// service, so every historical summary line is unchanged; with
+    /// default) is the one-shard engine the mirror models, so every
+    /// historical summary line is unchanged; with
     /// more shards the admission counters stay mirror-exact while the
     /// offline replay stitches per-shard solves.
     pub shards: usize,
@@ -458,7 +458,7 @@ fn spike_line(tick: usize, i: usize) -> String {
 /// The differential checks: exact counter agreement, conservation,
 /// bit-for-bit window parity, and offline replay parity.
 ///
-/// The [`Mirror`] models the classic single-queue engine, so its
+/// The [`Mirror`] models the one-shard engine's single queue, so its
 /// predictions are bit-exact only for single-shard plans. Multi-shard
 /// plans give every shard its own bounded queue (a queue spike that
 /// overflows one queue splits across N), so the mirror's counter and
@@ -513,7 +513,7 @@ fn audit(report: &mut ChaosReport, service: &ShardedService, mirror: &Mirror, cs
     report.window_hash = wh.finish();
 
     // The replay reference window: the mirror's prediction for the
-    // classic engine, the service's own merged snapshot for multi-shard
+    // one-shard engine, the service's own merged snapshot for multi-shard
     // plans (whose admitted set depends on per-shard queues).
     let reference = if sharded { &snap } else { &expected };
     let predicted_estimate =

@@ -394,8 +394,8 @@ pub struct ServeOptions {
     pub trace_sample: u64,
     /// Flight-recorder dump path for degraded ticks.
     pub flight_dump: Option<std::path::PathBuf>,
-    /// Segment-range shard workers (1 = the classic single engine,
-    /// which is a bit-for-bit pass-through).
+    /// Segment-range shard workers of the engine (1 = one shard owning
+    /// every segment).
     pub shards: usize,
 }
 
@@ -417,9 +417,8 @@ impl Default for ServeOptions {
 }
 
 /// `serve`: replays a probe report file through the fault-tolerant
-/// streaming engine ([`traffic_cs::sharded::ShardedService`], which with
-/// the default single-shard plan is a bitwise pass-through of
-/// [`traffic_cs::service::Service`]) and keeps a live estimate of the
+/// streaming engine ([`traffic_cs::sharded::ShardedService`], one shard
+/// unless `--shards` says otherwise) and keeps a live estimate of the
 /// sliding window.
 ///
 /// Reports are map-matched exactly like [`cmd_build_tcm`] (same index

@@ -49,8 +49,8 @@ subcommands:
              [--window-slots W] [--rank R] [--lambda L] [--batch N]
              [--shards S] [--checkpoint FILE] [--out FILE] [--flight-dump FILE]
              (replays reports through the fault-tolerant streaming
-              service; --batch 0 = whole file in one tick; --shards 1
-              is a bit-for-bit pass-through of the classic engine; with
+              engine; --batch 0 = whole file in one tick; --shards S
+              splits the segments over S shards, 1 by default; with
               --flight-dump, degraded ticks dump the flight recorder)
   daemon     --bind tcp:HOST:PORT|unix:/path.sock
              (--network FILE | --segments N) [--granularity 15|30|60]

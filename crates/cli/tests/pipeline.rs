@@ -165,7 +165,8 @@ fn serve_survives_corrupt_reports_and_checkpoints() {
     assert!(text.contains("restored warm start"), "{text}");
 
     // A truncated checkpoint is a typed input error, not a panic.
-    std::fs::write(&ckpt, "cs-serve-checkpoint v1\nclock zzz\n").unwrap();
+    let full = std::fs::read_to_string(&ckpt).unwrap();
+    std::fs::write(&ckpt, &full[..full.len() * 2 / 3]).unwrap();
     let err = {
         let mut out = Vec::new();
         cmd_serve(&dir.join("network.csv"), &reports, &opts, &mut out).unwrap_err()
@@ -260,7 +261,8 @@ fn daemon_client_round_trip_matches_in_process_serve() {
 fn flight_dump_of_a_degraded_solve_inspects_to_a_causal_timeline() {
     use cs_traffic_cli::cmd_inspect;
     use traffic_cs::cs::CsConfig;
-    use traffic_cs::service::{Observation, ServeConfig, Service};
+    use traffic_cs::service::{Observation, ServeConfig};
+    use traffic_cs::ShardedService;
 
     let dir = temp_dir("flight");
     let dump = dir.join("flight_dump.jsonl");
@@ -276,7 +278,7 @@ fn flight_dump_of_a_degraded_solve_inspects_to_a_causal_timeline() {
         .cs(CsConfig { rank: 2, lambda: 0.1, ..CsConfig::default() })
         .build()
         .unwrap();
-    let mut s = Service::new(cfg).unwrap();
+    let mut s = ShardedService::new(cfg).unwrap();
     // Zero wall-clock budget: every solve is over budget → degraded.
     s.set_solve_budget(Some(std::time::Duration::ZERO));
     for v in 0..6u64 {

@@ -18,13 +18,14 @@
 //! * [`metrics`] — NMAE (Definition 2), per-entry relative errors, CDFs.
 //! * [`estimator`] — a unified [`Estimator`] enum so experiments can
 //!   sweep all four algorithms through one interface.
-//! * [`service`] — a fault-tolerant streaming estimation loop: replayed
-//!   probe reports stream into a sliding window, each closed window is
-//!   completed with warm starts, and bad input degrades counters — not
+//! * [`sharded`] — the streaming serve engine, [`ShardedService`]:
+//!   probe reports stream into per-shard sliding windows (one shard by
+//!   default), each closed window is completed with warm starts, a
+//!   merged view answers queries, and bad input degrades counters — not
 //!   the process.
-//! * [`sharded`] — segment-range sharding over [`service`]: N
-//!   independent shard workers behind one engine surface, with a
-//!   merged query view.
+//! * [`service`] — the fault-tolerant loop each shard runs, and the
+//!   config, report, counter and checkpoint-error types the engine
+//!   speaks.
 //! * [`daemon`] — the long-running network serve daemon speaking the
 //!   versioned `cs-wire/v1` protocol (crate `proto`) over TCP or Unix
 //!   sockets.
@@ -82,5 +83,5 @@ pub use ga::{GaConfig, GaResult};
 // enums), so the protocol crate rides along — `traffic_cs::proto::…`
 // works without a separate dependency edge.
 pub use proto;
-pub use service::{ServeConfig, ServeError, Service};
+pub use service::{ServeConfig, ServeError};
 pub use sharded::{ShardPlan, ShardedService};

@@ -1,6 +1,8 @@
-//! Fault-tolerant streaming estimation service.
+//! Fault-tolerant streaming estimation: the loop each shard of the
+//! serve engine runs, and the types the engine speaks.
 //!
-//! [`Service`] is the control loop behind `cs-traffic-cli serve`: probe
+//! [`ShardedService`](crate::sharded::ShardedService), the engine behind
+//! `cs-traffic-cli serve` and `daemon`, runs this loop once per shard: probe
 //! observations stream in, a sliding window of time slots is maintained
 //! ([`probes::stream::StreamingTcm`]), each closed window is completed
 //! with warm starts ([`crate::online::OnlineEstimator`]), and the latest
@@ -57,7 +59,8 @@
 //!
 //! ```
 //! use traffic_cs::cs::CsConfig;
-//! use traffic_cs::service::{Observation, ServeConfig, Service};
+//! use traffic_cs::service::{Observation, ServeConfig};
+//! use traffic_cs::ShardedService;
 //!
 //! let cfg = ServeConfig::builder()
 //!     .slot_len_s(60)
@@ -65,13 +68,13 @@
 //!     .num_segments(3)
 //!     .cs(CsConfig { rank: 2, lambda: 0.1, ..CsConfig::default() })
 //!     .build()?;
-//! let mut service = Service::new(cfg)?;
+//! let mut engine = ShardedService::new(cfg)?;
 //! for t in 0..240 {
-//!     service.push(Observation { vehicle: t, timestamp_s: t, segment: (t % 3) as usize, speed_kmh: 30.0 });
+//!     engine.push(Observation { vehicle: t, timestamp_s: t, segment: (t % 3) as usize, speed_kmh: 30.0 });
 //! }
-//! let report = service.tick();
+//! let report = engine.tick();
 //! assert_eq!(report.admitted, 240);
-//! assert!(service.latest().is_some());
+//! assert!(engine.latest().is_some());
 //! # Ok::<(), traffic_cs::Error>(())
 //! ```
 
@@ -165,11 +168,11 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// Configuration of a [`Service`].
+/// Configuration of the serve engine.
 ///
 /// Construct via [`ServeConfig::builder`] for validation, or as a struct
 /// literal over [`ServeConfig::default`] (validated by
-/// [`Service::new`] anyway).
+/// [`ShardedService::new`](crate::sharded::ShardedService::new) anyway).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Absolute start of the slot grid, in seconds.
@@ -210,10 +213,7 @@ pub struct ServeConfig {
     /// every solve a full warm sweep: the reference that differential
     /// runs diff against.
     pub incremental: bool,
-    /// Segment-range shard layout for [`ShardedService`]; a bare
-    /// [`Service`] requires the single-shard plan.
-    ///
-    /// [`ShardedService`]: crate::sharded::ShardedService
+    /// Segment-range shard layout of the engine (one shard by default).
     pub shards: crate::sharded::ShardPlan,
 }
 
@@ -442,7 +442,7 @@ pub struct SolveStats {
     pub rows_resolved: u64,
 }
 
-/// Outcome of one [`Service::tick`].
+/// Outcome of one [`ShardedService::tick`](crate::sharded::ShardedService::tick).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TickReport {
     /// Reports admitted this tick.
@@ -499,9 +499,10 @@ struct Queued {
     enqueued: Instant,
 }
 
-/// The streaming estimation loop. See the [module docs](self).
+/// The streaming estimation loop of one shard. See the
+/// [module docs](self).
 #[derive(Debug)]
-pub struct Service {
+pub(crate) struct Service {
     config: ServeConfig,
     queue: VecDeque<Queued>,
     window: StreamingTcm,
@@ -620,11 +621,6 @@ impl Service {
         self.lat.as_ref()
     }
 
-    /// The validated configuration in use.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Everything the loop counted so far.
     pub fn stats(&self) -> ServeStats {
         self.stats
@@ -640,10 +636,9 @@ impl Service {
         self.clock_s
     }
 
-    /// Absolute slot index of the newest window row — the alignment
-    /// anchor sharded merges stitch on.
-    pub fn head_slot(&self) -> usize {
-        self.window.head_slot()
+    /// The sliding window: the exact content the next solve completes.
+    pub(crate) fn window(&self) -> &StreamingTcm {
+        &self.window
     }
 
     /// Number of reports currently queued and not yet processed.
@@ -663,15 +658,6 @@ impl Service {
     /// [`LiveEstimate::stale`] flag tells queries whether it is degraded.
     pub fn latest(&self) -> Option<&LiveEstimate> {
         self.last_good.as_ref()
-    }
-
-    /// Materializes the current sliding window as a [`probes::Tcm`]
-    /// (row 0 = oldest slot). This is the exact matrix the next solve
-    /// would complete, exposed so differential harnesses can compare the
-    /// service's window content bit-for-bit against an independently
-    /// maintained model.
-    pub fn window_snapshot(&self) -> probes::Tcm {
-        self.window.snapshot()
     }
 
     /// Replaces the per-solve wall-clock budget at runtime (`None`
@@ -695,8 +681,8 @@ impl Service {
     /// originally configured [`CsConfig`], restoring the full cold
     /// iteration budget and forgetting cached factors. The next solve
     /// (e.g. via [`Service::refresh`]) is then bit-for-bit identical to
-    /// running the offline pipeline on [`Service::window_snapshot`] —
-    /// the property the differential oracle checks.
+    /// running the offline pipeline on the window — the property the
+    /// differential oracle checks.
     ///
     /// # Errors
     ///
@@ -1158,11 +1144,9 @@ impl Service {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    /// Serializes the warm-start state to the versioned text format.
-    ///
-    /// Matrix entries are written as `f64::to_bits` hex words, so a
-    /// restore reproduces the factors bit-for-bit and the restarted
-    /// solver behaves exactly like the uninterrupted one.
+    /// Serializes this shard's warm-start state as the
+    /// `cs-serve-checkpoint v1` section of the engine's container (see
+    /// [`crate::sharded::ShardedService::checkpoint`]).
     pub fn checkpoint(&self) -> String {
         // Reports still queued when the process checkpoints will reach
         // no solve in this life; `checkpointed` is their terminal trace
@@ -1190,18 +1174,16 @@ impl Service {
         out
     }
 
-    /// Restores warm-start state produced by [`Service::checkpoint`].
-    ///
-    /// Only the solver state is restored — the window refills from the
-    /// replayed stream. The clock advances to the checkpointed value so
-    /// slot eviction picks up where the previous process stopped.
+    /// Restores a section written by [`Service::checkpoint`]: the warm
+    /// factors, and the clock, which advances so slot eviction picks up
+    /// where the previous process stopped.
     ///
     /// # Errors
     ///
     /// [`ServeError::Checkpoint`] (wrapped in the unified
-    /// [`enum@Error`]) on version mismatch or malformed content;
-    /// [`Error::Config`] when well-formed factors do not fit this
-    /// service's segment count and configured rank.
+    /// [`enum@Error`]), with a line of `text`, on version mismatch or
+    /// malformed content; [`Error::Config`] when well-formed factors do
+    /// not fit this shard's segment count and configured rank.
     pub fn restore(&mut self, text: &str) -> Result<(), Error> {
         let bad = |line: usize, msg: &str| -> Error {
             ServeError::Checkpoint { line, msg: msg.to_string() }.into()
@@ -1280,29 +1262,6 @@ impl Service {
         }
         self.advance_clock(clock);
         Ok(())
-    }
-
-    /// Writes [`Service::checkpoint`] to a file, crash-safely: the text
-    /// goes to `<path>.tmp`, is synced, and is renamed over `path`, so a
-    /// crash mid-write leaves the previous checkpoint intact.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on filesystem failure.
-    pub fn save_checkpoint(&self, path: &std::path::Path) -> Result<(), Error> {
-        Ok(write_checkpoint(path, &self.checkpoint())?)
-    }
-
-    /// Reads and applies a checkpoint file written by
-    /// [`Service::save_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on filesystem failure, plus everything
-    /// [`Service::restore`] rejects.
-    pub fn load_checkpoint(&mut self, path: &std::path::Path) -> Result<(), Error> {
-        let text = std::fs::read_to_string(path).map_err(ServeError::Io)?;
-        self.restore(&text)
     }
 }
 
@@ -1450,7 +1409,7 @@ mod tests {
         let report = s.refresh();
         assert!(report.solved);
         let live = s.latest().unwrap().estimate.clone();
-        let offline = crate::cs::complete_matrix_detailed(&s.window_snapshot(), &s.config().cs)
+        let offline = crate::cs::complete_matrix_detailed(&s.window.snapshot(), &s.config.cs)
             .unwrap()
             .estimate;
         assert_eq!(live.shape(), offline.shape());
@@ -1463,9 +1422,9 @@ mod tests {
     fn runtime_watchdog_setters() {
         let mut s = Service::new(small_cfg()).unwrap();
         s.set_warm_sweep_cap(Some(0));
-        assert_eq!(s.config().warm_sweep_cap, Some(1), "zero cap clamps to the valid minimum");
+        assert_eq!(s.config.warm_sweep_cap, Some(1), "zero cap clamps to the valid minimum");
         s.set_warm_sweep_cap(None);
-        assert_eq!(s.config().warm_sweep_cap, None);
+        assert_eq!(s.config.warm_sweep_cap, None);
         // A zero wall-clock budget degrades every successful solve.
         s.set_solve_budget(Some(Duration::ZERO));
         s.push(obs(1, 30, 0, 40.0));

@@ -1,22 +1,20 @@
-//! Segment-range sharding over the streaming [`Service`].
+//! The serve engine: segment-range shards behind one surface.
 //!
-//! [`ShardedService`] is the one engine surface the serve daemon, the
-//! CSV replayer, and the chaos harness all drive: a validated
-//! [`ShardPlan`] splits the segment columns into contiguous balanced
-//! ranges, each owned by an independent [`Service`] (its own
-//! `StreamingTcm` window, warm `OnlineEstimator`, ingest queue, and
-//! counters), with a router mapping global segment indices to shards
-//! and a merged query view stitching the per-shard estimates back into
-//! one metro-wide matrix.
+//! [`ShardedService`] is the one engine the serve daemon, the CSV
+//! replayer, the chaos harnesses and servebench all drive. A validated
+//! [`ShardPlan`] (one shard by default) splits the segment columns into
+//! contiguous balanced ranges. Each range is owned by a shard running
+//! the streaming loop of [`crate::service`] with its own `StreamingTcm`
+//! window, warm `OnlineEstimator`, ingest queue and counters. A router
+//! maps global segment indices to shards, and a merged query view
+//! stitches the per-shard estimates back into one metro-wide matrix.
 //!
 //! # Determinism contract
 //!
 //! Shards never read each other's state, so per-shard results are
 //! bit-for-bit identical at any thread count (shard ticks fan out over
-//! [`workpool`]), and a single-shard plan is a strict pass-through:
-//! every push, tick, counter, trace, and checkpoint byte of
-//! `ShardedService` with `ShardPlan::single()` matches the bare
-//! [`Service`] exactly. The parity tests pin both properties.
+//! [`workpool`]), and the merged estimate of N shards is each range's
+//! one-shard engine side by side. The parity tests pin both properties.
 //!
 //! # Merged view semantics
 //!
@@ -106,15 +104,15 @@ impl ShardPlan {
     }
 }
 
-/// One shard worker: an independent [`Service`] over a local segment
-/// range, plus its global range and last tick report.
+/// One shard worker: the streaming loop over a local segment range,
+/// plus its global range and last tick report.
 struct Shard {
     service: Service,
     range: Range<usize>,
     last: TickReport,
 }
 
-/// N segment-range shards behind one [`Service`]-shaped surface.
+/// The serve engine: N segment-range shards behind one surface.
 ///
 /// See the [module docs](self) for the routing, clock-sync, and merge
 /// semantics. Constructed from a [`ServeConfig`] whose
@@ -139,6 +137,12 @@ fn add_solve_stats(into: &mut SolveStats, s: SolveStats) {
     into.incremental_solves += s.incremental_solves;
     into.full_solves += s.full_solves;
     into.rows_resolved += s.rows_resolved;
+}
+
+/// The row holding slot `abs` of a window whose newest slot is `head`.
+fn window_row(head: usize, slots: usize, abs: usize) -> Option<usize> {
+    let tail = (head + 1).saturating_sub(slots);
+    (tail..=head).contains(&abs).then(|| abs - tail)
 }
 
 fn merge_tick(into: &mut TickReport, r: &TickReport) {
@@ -198,8 +202,8 @@ impl ShardedService {
     /// `false` when that shard's backpressure refused it.
     ///
     /// Out-of-range segments route to the last shard, whose admission
-    /// rules reject them — exactly where a single-shard service would
-    /// count them, so counter totals are plan-independent.
+    /// rules reject them — exactly where a one-shard engine counts
+    /// them, so counter totals are plan-independent.
     pub fn push(&mut self, obs: Observation) -> bool {
         let n = self.config.num_segments;
         let idx = if obs.segment < n {
@@ -214,17 +218,9 @@ impl ShardedService {
 
     /// Drains and solves every shard (fanned out over [`workpool`]),
     /// synchronizes the stream clocks to the fastest shard, re-solves
-    /// any window that slid, and rebuilds the merged view.
-    ///
-    /// With a single-shard plan this is a verbatim pass-through to
-    /// [`Service::tick`].
+    /// any window that slid, and rebuilds the merged view if a shard
+    /// solved or degraded (nothing else changes an estimate).
     pub fn tick(&mut self) -> TickReport {
-        if self.shards.len() == 1 {
-            let report = self.shards[0].service.tick();
-            self.shards[0].last = report;
-            self.rebuild_merged();
-            return report;
-        }
         workpool::try_parallel_for_each_mut(&mut self.shards, 0, |_, shard| {
             shard.last = shard.service.tick();
             Ok::<(), std::convert::Infallible>(())
@@ -235,7 +231,9 @@ impl ShardedService {
         for shard in &self.shards {
             merge_tick(&mut agg, &shard.last);
         }
-        self.rebuild_merged();
+        if agg.solved || agg.degraded {
+            self.rebuild_merged();
+        }
         agg
     }
 
@@ -243,30 +241,23 @@ impl ShardedService {
     /// re-solves the ones whose content changed, so every data-bearing
     /// shard reports the same head slot.
     fn sync_clocks(&mut self) {
-        let Some(global) = self.shards.iter().map(|s| s.service.clock_s()).max() else {
-            return;
-        };
+        let global = self.clock_s();
         for shard in &mut self.shards {
-            let before = shard.service.head_slot();
+            let before = shard.service.window().head_slot();
             shard.service.advance_clock(global);
             // Only windows that actually slid and hold data are worth a
             // solve; an empty shard has nothing to re-estimate.
-            if shard.service.head_slot() != before && shard.service.stats().admitted > 0 {
+            if shard.service.window().head_slot() != before && shard.service.stats().admitted > 0 {
                 let extra = shard.service.tick();
                 merge_tick(&mut shard.last, &extra);
             }
         }
     }
 
-    /// Runs one solve attempt on every data-bearing shard even if
-    /// nothing new arrived — the recovery path after degraded ticks.
+    /// Runs one solve attempt on every data-bearing shard (one that
+    /// admitted a report) even if nothing new arrived — the recovery
+    /// path after degraded ticks.
     pub fn refresh(&mut self) -> TickReport {
-        if self.shards.len() == 1 {
-            let report = self.shards[0].service.refresh();
-            self.shards[0].last = report;
-            self.rebuild_merged();
-            return report;
-        }
         let mut agg = TickReport::default();
         for shard in &mut self.shards {
             if shard.service.stats().admitted > 0 {
@@ -333,8 +324,7 @@ impl ShardedService {
 
     /// The ingest sequence number the next report routed to `segment`'s
     /// shard will consume — the hook causal tracing uses to derive a
-    /// trace ID before pushing. With a single-shard plan this is
-    /// exactly [`Service::ingest_seq`].
+    /// trace ID ([`crate::service::report_trace_id`]) before pushing.
     pub fn ingest_seq_for(&self, segment: usize) -> u64 {
         let n = self.config.num_segments;
         let idx = if segment < n {
@@ -348,6 +338,11 @@ impl ShardedService {
     /// The global stream clock: the fastest shard's clock.
     pub fn clock_s(&self) -> u64 {
         self.shards.iter().map(|s| s.service.clock_s()).max().unwrap_or(0)
+    }
+
+    /// The newest window head slot across shards: merged views align on it.
+    pub fn head_slot(&self) -> usize {
+        self.shards.iter().map(|s| s.service.window().head_slot()).max().unwrap_or(0)
     }
 
     /// Wall-clock budget control, forwarded to every shard.
@@ -365,61 +360,46 @@ impl ShardedService {
     }
 
     /// A copy of the merged sliding window as a global-width [`Tcm`],
-    /// aligned on the newest head slot across shards.
+    /// aligned on the newest head slot across shards: each shard's raw
+    /// rows, `sum / count` per observed cell as a shard snapshot holds it.
     ///
     /// [`Tcm`]: probes::Tcm
     pub fn window_snapshot(&self) -> probes::Tcm {
-        if self.shards.len() == 1 {
-            return self.shards[0].service.window_snapshot();
-        }
-        let slots = self.config.window_slots;
-        let segments = self.config.num_segments;
-        let global_head = self.shards.iter().map(|s| s.service.head_slot()).max().unwrap_or(0);
-        let global_tail = (global_head + 1).saturating_sub(slots);
-        let mut values = Matrix::zeros(slots, segments);
-        let mut indicator = Matrix::zeros(slots, segments);
-        for shard in &self.shards {
-            let snap = shard.service.window_snapshot();
-            let shard_tail = (shard.service.head_slot() + 1).saturating_sub(slots);
-            for (r, j, v) in snap.observed_entries() {
-                let abs = shard_tail + r;
-                if abs < global_tail || abs > global_head {
-                    continue;
+        let (slots, segments) = (self.config.window_slots, self.config.num_segments);
+        let tail = (self.head_slot() + 1).saturating_sub(slots);
+        let mut values = Vec::with_capacity(slots * segments);
+        let mut indicator = Vec::with_capacity(slots * segments);
+        for abs in tail..tail + slots {
+            for shard in &self.shards {
+                let window = shard.service.window();
+                let raw = window_row(window.head_slot(), slots, abs).map(|r| window.row_raw(r));
+                for j in 0..shard.range.len() {
+                    let (sum, count) =
+                        raw.map_or((0.0, 0.0), |(sums, counts)| (sums[j], counts[j]));
+                    values.push(if count > 0.0 { sum / count } else { 0.0 });
+                    indicator.push(if count > 0.0 { 1.0 } else { 0.0 });
                 }
-                let row = abs - global_tail;
-                values.set(row, shard.range.start + j, v);
-                indicator.set(row, shard.range.start + j, 1.0);
             }
         }
-        probes::Tcm::new(values, indicator).expect("matching dims by construction")
+        let matrix = |data| Matrix::from_vec(slots, segments, data).expect("every column stitched");
+        probes::Tcm::new(matrix(values), matrix(indicator)).expect("matching dims by construction")
     }
 
-    /// Rebuilds the merged estimate from the shards' latest solves.
+    /// Rebuilds the merged estimate from the shards' latest solves, row
+    /// by row into a fresh buffer (zeros where a shard has no row).
     fn rebuild_merged(&mut self) {
-        if self.shards.len() == 1 {
-            self.merged = self.shards[0].service.latest().cloned();
-            return;
-        }
         let slots = self.config.window_slots;
-        let segments = self.config.num_segments;
-        let mut head_slot = None;
-        for shard in &self.shards {
-            if let Some(est) = shard.service.latest() {
-                head_slot = Some(head_slot.map_or(est.head_slot, |h: usize| h.max(est.head_slot)));
-            }
-        }
-        let Some(head_slot) = head_slot else {
+        let latest = || self.shards.iter().map(|s| s.service.latest());
+        let Some(head_slot) = latest().flatten().map(|est| est.head_slot).max() else {
             self.merged = None;
             return;
         };
-        let tail = (head_slot + 1).saturating_sub(slots);
-        let mut matrix = Matrix::zeros(slots, segments);
         let mut stale = false;
         let mut solved_at_s = 0;
         let mut sweeps = 0;
         let mut objective = 0.0;
-        for shard in &self.shards {
-            let Some(est) = shard.service.latest() else {
+        for est in latest() {
+            let Some(est) = est else {
                 // A shard with no estimate yet contributes zero columns:
                 // the merge is incomplete, hence stale.
                 stale = true;
@@ -429,20 +409,23 @@ impl ShardedService {
             solved_at_s = solved_at_s.max(est.solved_at_s);
             sweeps = sweeps.max(est.sweeps);
             objective += est.objective;
-            let shard_tail = (est.head_slot + 1).saturating_sub(slots);
-            for r in 0..est.estimate.rows() {
-                let abs = shard_tail + r;
-                if abs < tail || abs > head_slot {
-                    continue;
-                }
-                let row = abs - tail;
-                for j in 0..shard.range.len() {
-                    matrix.set(row, shard.range.start + j, est.estimate.get(r, j));
+        }
+        let tail = (head_slot + 1).saturating_sub(slots);
+        let mut data = Vec::with_capacity(slots * self.config.num_segments);
+        for abs in tail..tail + slots {
+            for shard in &self.shards {
+                let row = shard.service.latest().and_then(|est| {
+                    window_row(est.head_slot, slots, abs).map(|row| est.estimate.row(row))
+                });
+                match row {
+                    Some(row) => data.extend_from_slice(row),
+                    None => data.resize(data.len() + shard.range.len(), 0.0),
                 }
             }
         }
         self.merged = Some(LiveEstimate {
-            estimate: matrix,
+            estimate: Matrix::from_vec(slots, self.config.num_segments, data)
+                .expect("shards cover every column"),
             head_slot,
             solved_at_s,
             stale,
@@ -451,8 +434,9 @@ impl ShardedService {
         });
     }
 
-    /// Serializes every shard's checkpoint into one `cs-serve-shards
-    /// v1` container.
+    /// Serializes every shard's `cs-serve-checkpoint v1` section (its
+    /// clock, head slot and warm factors as `f64::to_bits` hex words)
+    /// into one `cs-serve-shards v1` container, the one format.
     pub fn checkpoint(&self) -> String {
         let mut out = String::from("cs-serve-shards v1\n");
         out.push_str(&format!(
@@ -468,32 +452,19 @@ impl ShardedService {
         out
     }
 
-    /// Restores a `cs-serve-shards v1` container (or, for single-shard
-    /// plans, a bare `cs-serve-checkpoint v1` produced by the
-    /// pre-sharding service).
+    /// Restores a `cs-serve-shards v1` container of the same shard plan.
+    /// Only the solver state and clocks are restored — the window
+    /// refills from the replayed stream.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Checkpoint`] (wrapped in [`enum@Error`]) on
-    /// malformed containers or plan mismatches; whatever the per-shard
-    /// [`Service::restore`] reports for its slice.
+    /// [`ServeError::Checkpoint`] (wrapped in [`enum@Error`]) naming the
+    /// container line (and shard) on anything but a well-formed
+    /// container of this plan, a bare section included;
+    /// [`Error::Config`] on factors of another segment count or rank.
     pub fn restore(&mut self, text: &str) -> Result<(), Error> {
         let bad =
             |line: usize, msg: String| -> Error { ServeError::Checkpoint { line, msg }.into() };
-        if text.starts_with("cs-serve-checkpoint") {
-            if self.shards.len() != 1 {
-                return Err(bad(
-                    1,
-                    format!(
-                        "single-service checkpoint cannot restore a {}-shard plan",
-                        self.shards.len()
-                    ),
-                ));
-            }
-            let result = self.shards[0].service.restore(text);
-            self.rebuild_merged();
-            return result;
-        }
         let header_end = text.find('\n').ok_or_else(|| bad(1, "empty checkpoint".into()))?;
         if &text[..header_end] != "cs-serve-shards v1" {
             return Err(bad(1, "not a cs-serve-shards v1 container".into()));
@@ -539,7 +510,13 @@ impl ShardedService {
                 .checked_add(len)
                 .and_then(|end| cursor.get(body_start..end))
                 .ok_or_else(|| bad(line, format!("shard {i} body truncated")))?;
-            self.shards[i].service.restore(body)?;
+            // A section counts lines from the one after its header.
+            self.shards[i].service.restore(body).map_err(|e| match e {
+                Error::Serve(ServeError::Checkpoint { line: at, msg }) => {
+                    bad(line + at, format!("shard {i}: {msg}"))
+                }
+                other => other,
+            })?;
             line += 1 + body.matches('\n').count();
             cursor = &cursor[body_start + len..];
         }
@@ -550,8 +527,8 @@ impl ShardedService {
         Ok(())
     }
 
-    /// Writes [`ShardedService::checkpoint`] to `path`, crash-safely
-    /// (see [`Service::save_checkpoint`]).
+    /// Writes [`ShardedService::checkpoint`] to `path` crash-safely: a
+    /// synced `<path>.tmp` is renamed over `path`.
     ///
     /// # Errors
     ///

@@ -11,12 +11,12 @@
 //! A serve-path warm pass is pinned the same way: its allocation count
 //! does not grow with the number of segments.
 //!
-//! The same allocator also proves the streaming service's tick hot
-//! path is free when observability is off: steady-state empty ticks
-//! allocate nothing, configuring `trace_sample` costs nothing while
-//! the telemetry level keeps tracing disabled, admitting a round of
-//! reports costs nothing beyond the warm pass it triggers, and sliding
-//! the window into the next slot allocates nothing.
+//! The same allocator also proves the serve engine's tick hot path is
+//! free when observability is off: steady-state empty ticks allocate
+//! nothing, on one shard and on four, configuring `trace_sample` costs
+//! nothing while the telemetry level keeps tracing disabled, admitting
+//! a round of reports costs nothing beyond the warm pass it triggers,
+//! and sliding the window into the next slot allocates nothing.
 //!
 //! The allocator is process-global, so this file holds exactly one test.
 
@@ -26,7 +26,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use linalg::Matrix;
 use probes::Tcm;
 use traffic_cs::cs::{complete_matrix, CsConfig};
-use traffic_cs::service::{Observation, ServeConfig, Service};
+use traffic_cs::service::{Observation, ServeConfig};
+use traffic_cs::sharded::{ShardPlan, ShardedService};
 
 struct CountingAllocator;
 
@@ -215,16 +216,18 @@ fn kernel_variants_allocate_identically() {
     assert_eq!(fixed, scalar, "Fixed4 allocated {fixed} times vs {scalar} for scalar");
 }
 
-fn warm_service(trace_sample: u64) -> Service {
+/// A warm engine of `shards` shards over four segments each.
+fn warm_service(trace_sample: u64, shards: usize) -> ShardedService {
     let cfg = ServeConfig::builder()
         .slot_len_s(60)
         .window_slots(4)
-        .num_segments(4)
+        .num_segments(4 * shards)
+        .shards(ShardPlan::with_count(shards))
         .trace_sample(trace_sample)
         .cs(CsConfig { rank: 2, lambda: 0.1, num_threads: 1, ..CsConfig::default() })
         .build()
         .unwrap();
-    let mut s = Service::new(cfg).unwrap();
+    let mut s = ShardedService::new(cfg).unwrap();
     // Two rounds of the same keys reach steady state: queue/pending
     // capacity grown, dedup map populated, estimator warm.
     for _ in 0..2 {
@@ -234,12 +237,14 @@ fn warm_service(trace_sample: u64) -> Service {
     s
 }
 
-fn push_round(s: &mut Service) {
-    for v in 0..8u64 {
+/// Two reports on each shard's diagonal cells: slot `i`, local segment `i`.
+fn push_round(s: &mut ShardedService) {
+    let segments = s.config().num_segments as u64;
+    for v in 0..2 * segments {
         s.push(Observation {
             vehicle: v,
             timestamp_s: (v % 4) * 60,
-            segment: (v % 4) as usize,
+            segment: (v % segments) as usize,
             speed_kmh: 30.0 + v as f64,
         });
     }
@@ -250,20 +255,28 @@ fn service_tick_is_allocation_free_when_observability_is_off() {
     assert!(!telemetry::metrics_enabled(), "metrics must be off for this test");
 
     // Steady-state empty ticks: queue drained, window clean, metrics
-    // off — the tick must not allocate at all.
-    let mut s = warm_service(0);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..50 {
-        s.tick();
+    // off — the tick must not allocate at all. Four shards are pinned on
+    // one worker, where their ticks run inline.
+    let threads = workpool::default_threads();
+    for shards in [1, 4] {
+        if shards > 1 {
+            workpool::set_default_threads(1);
+        }
+        let mut s = warm_service(0, shards);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..50 {
+            s.tick();
+        }
+        let empty_ticks = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(empty_ticks, 0, "{shards}-shard idle ticks allocated {empty_ticks} times");
     }
-    let empty_ticks = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(empty_ticks, 0, "idle ticks allocated {empty_ticks} times with telemetry off");
+    workpool::set_default_threads(threads);
 
     // A configured-but-disabled trace_sample must cost exactly what
     // trace_sample = 0 costs on an identical data workload: the level
     // guard has to fire before any ID hashing or field building.
     let measure = |trace_sample: u64| {
-        let mut s = warm_service(trace_sample);
+        let mut s = warm_service(trace_sample, 1);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for _ in 0..10 {
             push_round(&mut s);
@@ -283,7 +296,7 @@ fn service_tick_is_allocation_free_when_observability_is_off() {
     // round of re-delivered reports (dedup probe, retract, window
     // write) allocates nothing: a push+tick round allocates exactly as
     // often as a `refresh()`, which is the same warm pass alone.
-    let mut s = warm_service(0);
+    let mut s = warm_service(0, 1);
     for round in 0..5 {
         let passes = s.solve_stats().incremental_solves;
         let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -309,7 +322,7 @@ fn service_tick_is_allocation_free_when_observability_is_off() {
     // dedup map clears in place, and the window zeroes and rotates its
     // rows instead of allocating fresh ones. Six slides also wrap the
     // 4-slot ring.
-    let mut s = warm_service(0);
+    let mut s = warm_service(0, 1);
     let head = s.head_slot();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for k in 1..=6 {

@@ -1,24 +1,24 @@
-//! Property tests of the `cs-serve-checkpoint v1` text format.
+//! Property tests of the checkpoint text format, in one-shard containers.
 //!
 //! The checkpoint contract is stronger than "restore works": factor
 //! entries are `f64::to_bits` hex words, so *any* bit pattern — values
 //! the solver would never produce included — must survive
 //! save → restore → save byte-for-byte, and any truncation of the text
-//! must either be rejected outright or (when the cut only removes the
-//! trailing newline) restore the complete state. These properties are
-//! what the chaos harness's checkpoint faults lean on.
+//! must either be rejected outright or restore the complete state. These
+//! properties are what the chaos harness's checkpoint faults lean on.
 
 use proptest::prelude::*;
 use traffic_cs::cs::CsConfig;
-use traffic_cs::service::{ServeConfig, Service};
+use traffic_cs::service::ServeConfig;
+use traffic_cs::ShardedService;
 
 const SLOT_LEN: u64 = 60;
 const WINDOW: usize = 4;
 const RANK: usize = 2;
 
-/// A service over `segments` segments. A checkpoint restores only into
-/// a service with as many segments as its factor matrix has rows.
-fn service(segments: usize) -> Service {
+/// A one-shard engine over `segments` segments. A checkpoint restores
+/// only into one with as many segments as its factor matrix has rows.
+fn service(segments: usize) -> ShardedService {
     let cfg = ServeConfig::builder()
         .slot_len_s(SLOT_LEN)
         .window_slots(WINDOW)
@@ -26,13 +26,13 @@ fn service(segments: usize) -> Service {
         .cs(CsConfig { rank: RANK, lambda: 0.1, ..CsConfig::default() })
         .build()
         .unwrap();
-    Service::new(cfg).unwrap()
+    ShardedService::new(cfg).unwrap()
 }
 
-/// Builds checkpoint text exactly as `Service::checkpoint` would for the
-/// given clock and factor rows, so a restore → checkpoint round trip can
-/// be compared byte-for-byte. `head_slot` is derived the same way the
-/// service derives it: `max(window - 1, clock / slot_len)`.
+/// Builds checkpoint text exactly as `ShardedService::checkpoint` would
+/// for the given clock and factor rows, so a restore → checkpoint round
+/// trip can be compared byte-for-byte. `head_slot` is derived the same
+/// way the engine derives it: `max(window - 1, clock / slot_len)`.
 fn checkpoint_text(clock: u64, rows: &[[u64; RANK]]) -> String {
     let head = (WINDOW as u64 - 1).max(clock / SLOT_LEN);
     let mut out = format!("cs-serve-checkpoint v1\nclock {clock}\nhead_slot {head}\n");
@@ -42,7 +42,13 @@ fn checkpoint_text(clock: u64, rows: &[[u64; RANK]]) -> String {
         out.push_str(&words.join(" "));
         out.push('\n');
     }
-    out
+    container(rows.len(), &out)
+}
+
+/// Wraps one shard's section in the one-shard container.
+fn container(segments: usize, section: &str) -> String {
+    let len = section.len();
+    format!("cs-serve-shards v1\nshards 1 segments {segments}\nshard 0 {len}\n{section}")
 }
 
 /// Strategy: one f64 bit pattern, biased toward the extremes the format
@@ -80,7 +86,7 @@ proptest! {
     }
 
     /// Truncation at any byte either fails loudly or restores the full
-    /// state (only cutting the final newline leaves a valid prefix).
+    /// state (the section's byte count refuses every strict prefix).
     #[test]
     fn truncation_is_detected_or_harmless(
         clock in 0u64..100_000,
@@ -153,9 +159,10 @@ fn head_slot_is_derived_from_clock_not_trusted() {
     // A checkpoint claiming an inconsistent head_slot restores from its
     // clock: the re-checkpointed head is max(window-1, clock/slot_len).
     // Pinning this documents why crafted texts must use the derived head
-    // to round-trip byte-identically.
-    let mut text = checkpoint_text(600, &[[1.0f64.to_bits(), 2.0f64.to_bits()]]);
-    text = text.replace("head_slot 10", "head_slot 999");
+    // to round-trip byte-identically. (Same length, so the section's
+    // byte count still holds.)
+    let text = checkpoint_text(600, &[[1.0f64.to_bits(), 2.0f64.to_bits()]])
+        .replace("head_slot 10", "head_slot 99");
     let mut svc = service(1);
     svc.restore(&text).unwrap();
     assert!(svc.checkpoint().contains("head_slot 10\n"));
@@ -165,10 +172,10 @@ fn head_slot_is_derived_from_clock_not_trusted() {
 fn rank_mismatch_is_rejected_as_config_error() {
     // cols != configured rank: factors from another configuration must
     // not silently mis-seed the solver.
-    let text = "cs-serve-checkpoint v1\nclock 0\nhead_slot 3\nfactors 2 3\n\
-                3ff0000000000000 3ff0000000000000 3ff0000000000000\n\
-                3ff0000000000000 3ff0000000000000 3ff0000000000000\n";
+    let section = "cs-serve-checkpoint v1\nclock 0\nhead_slot 3\nfactors 2 3\n\
+                   3ff0000000000000 3ff0000000000000 3ff0000000000000\n\
+                   3ff0000000000000 3ff0000000000000 3ff0000000000000\n";
     let mut svc = service(2);
-    let err = svc.restore(text).unwrap_err().to_string();
+    let err = svc.restore(&container(2, section)).unwrap_err().to_string();
     assert!(err.contains("rank") || err.contains("warm_factors"), "got: {err}");
 }

@@ -651,16 +651,17 @@ fn fixed_rank_kernel_path_equals_prerefactor_estimate_bitwise() {
     });
 }
 
-/// End-to-end `Service` replay parity across kernel variants: the same
-/// report stream driven through a scalar-forced service and an
-/// auto-kernel service must produce byte-identical checkpoints and
+/// End-to-end serve-engine replay parity across kernel variants: the
+/// same report stream driven through a scalar-forced engine and an
+/// auto-kernel engine must produce byte-identical checkpoints and
 /// bit-identical live estimates, and a checkpoint written by one must
 /// restore and re-checkpoint identically under the other. This is the
 /// system-level closure of the rig's 0-ulp policy — with no permitted
 /// divergence, the chaos oracles cannot tell the kernels apart.
 #[test]
 fn service_replay_is_kernel_variant_invariant() {
-    use traffic_cs::service::{Observation, ServeConfig, Service};
+    use traffic_cs::service::{Observation, ServeConfig};
+    use traffic_cs::ShardedService;
     let _serial = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
 
     fn replay_config() -> ServeConfig {
@@ -681,7 +682,7 @@ fn service_replay_is_kernel_variant_invariant() {
 
     fn run(forced: Option<KernelVariant>) -> (String, Vec<u64>) {
         set_kernel_override(forced);
-        let mut s = Service::new(replay_config()).unwrap();
+        let mut s = ShardedService::new(replay_config()).unwrap();
         for step in 0..8u64 {
             for v in 0..12u64 {
                 s.push(Observation {
@@ -716,7 +717,7 @@ fn service_replay_is_kernel_variant_invariant() {
     // kernels must re-checkpoint byte-for-byte (and vice versa).
     for forced in [None, Some(KernelVariant::Scalar)] {
         set_kernel_override(forced);
-        let mut s = Service::new(replay_config()).unwrap();
+        let mut s = ShardedService::new(replay_config()).unwrap();
         s.restore(&scalar_ckpt).unwrap();
         assert_eq!(s.checkpoint(), scalar_ckpt, "cross-variant restore round trip drifted");
         set_kernel_override(None);

@@ -1,4 +1,4 @@
-//! Regression test: the streaming service must sample tick and solve
+//! Regression test: the serve engine must sample tick and solve
 //! wall clock into the `serve.tick_us` / `serve.solve_us` histograms
 //! whenever metrics are enabled — including with spans off, the
 //! `--metrics-out`-only configuration (same trap `metrics_only.rs`
@@ -10,7 +10,8 @@
 //! test — adding a second `#[test]` here would race it.
 
 use traffic_cs::cs::CsConfig;
-use traffic_cs::service::{Observation, ServeConfig, Service};
+use traffic_cs::service::{Observation, ServeConfig};
+use traffic_cs::ShardedService;
 
 #[test]
 fn service_samples_latency_histograms_with_metrics_only() {
@@ -25,7 +26,7 @@ fn service_samples_latency_histograms_with_metrics_only() {
         .cs(CsConfig { rank: 2, lambda: 0.1, ..CsConfig::default() })
         .build()
         .unwrap();
-    let mut s = Service::new(cfg).unwrap();
+    let mut s = ShardedService::new(cfg).unwrap();
 
     let tick_us = telemetry::histogram("serve.tick_us");
     let solve_us = telemetry::histogram("serve.solve_us");

@@ -5,7 +5,7 @@
 use linalg::Matrix;
 use probes::tcm::TcmBuilder;
 use traffic_cs::cs::{complete_matrix_detailed, CsConfig};
-use traffic_cs::service::{Backpressure, Observation, ServeConfig, Service, MAX_SPEED_KMH};
+use traffic_cs::service::{Backpressure, Observation, ServeConfig, MAX_SPEED_KMH};
 use traffic_cs::sharded::{ShardPlan, ShardedService};
 use traffic_cs::{Error, ServeError};
 
@@ -64,8 +64,8 @@ fn bits(m: &Matrix) -> Vec<u64> {
 }
 
 /// Replays observations through a service in chunks, ticking per chunk.
-fn replay(cfg: ServeConfig, observations: &[Observation], chunk: usize) -> Service {
-    let mut service = Service::new(cfg).unwrap();
+fn replay(cfg: ServeConfig, observations: &[Observation], chunk: usize) -> ShardedService {
+    let mut service = ShardedService::new(cfg).unwrap();
     for batch in observations.chunks(chunk.max(1)) {
         for &o in batch {
             assert!(service.push(o));
@@ -161,7 +161,7 @@ fn multi_window_replay_is_thread_invariant_and_window_exact() {
 
 #[test]
 fn fault_injection_degrades_counters_not_the_process() {
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
 
     // Healthy traffic first.
     for &o in &synth_observations(4) {
@@ -215,7 +215,7 @@ fn fault_injection_degrades_counters_not_the_process() {
 fn duplicate_redelivery_is_last_write_wins() {
     // One vehicle, one slot: the re-delivered speed fully replaces the
     // original contribution rather than averaging with it.
-    let mut service = Service::new(serve_cfg(2, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(2, 1)).unwrap();
     service.push(Observation { vehicle: 9, timestamp_s: 10, segment: 0, speed_kmh: 50.0 });
     service.push(Observation { vehicle: 9, timestamp_s: 10, segment: 0, speed_kmh: 30.0 });
     service.tick();
@@ -232,7 +232,7 @@ fn duplicate_redelivery_is_last_write_wins() {
 
 #[test]
 fn solve_failure_keeps_last_good_estimate_with_staleness_flag() {
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
     for &o in &synth_observations(4) {
         service.push(o);
     }
@@ -286,7 +286,7 @@ fn unsolvable_configuration_never_wedges_the_loop() {
         .cs(CsConfig { rank: 5, lambda: 0.1, ..CsConfig::default() })
         .build()
         .unwrap();
-    let mut service = Service::new(cfg).unwrap();
+    let mut service = ShardedService::new(cfg).unwrap();
     for round in 0..5u64 {
         service.push(Observation {
             vehicle: round,
@@ -306,7 +306,7 @@ fn unsolvable_configuration_never_wedges_the_loop() {
 #[test]
 fn zero_wall_clock_budget_flags_every_solve_stale() {
     let cfg = ServeConfig { solve_budget: Some(std::time::Duration::ZERO), ..serve_cfg(4, 1) };
-    let mut service = Service::new(cfg).unwrap();
+    let mut service = ShardedService::new(cfg).unwrap();
     for &o in &synth_observations(4) {
         service.push(o);
     }
@@ -323,7 +323,7 @@ fn zero_wall_clock_budget_flags_every_solve_stale() {
 #[test]
 fn warm_sweep_cap_bounds_steady_state_latency() {
     let capped = ServeConfig { warm_sweep_cap: Some(2), ..serve_cfg(4, 1) };
-    let mut service = Service::new(capped).unwrap();
+    let mut service = ShardedService::new(capped).unwrap();
     let observations = synth_observations(12);
     let mut max_warm_sweeps = 0;
     let mut first = true;
@@ -352,7 +352,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_stream() {
     let cfg = || ServeConfig { warm_sweep_cap: None, ..serve_cfg(4, 1) };
 
     // Uninterrupted service over the full stream.
-    let mut uninterrupted = Service::new(cfg()).unwrap();
+    let mut uninterrupted = ShardedService::new(cfg()).unwrap();
     for &o in first_half {
         uninterrupted.push(o);
     }
@@ -365,14 +365,14 @@ fn checkpoint_restore_reproduces_the_uninterrupted_stream() {
     // Interrupted service: checkpoint after the first half, restore into
     // a fresh process, replay the full stream (the window refills; the
     // warm factors come from the checkpoint — bit-exact hex round trip).
-    let mut before_crash = Service::new(cfg()).unwrap();
+    let mut before_crash = ShardedService::new(cfg()).unwrap();
     for &o in first_half {
         before_crash.push(o);
     }
     before_crash.tick();
     let snapshot = before_crash.checkpoint();
 
-    let mut restarted = Service::new(cfg()).unwrap();
+    let mut restarted = ShardedService::new(cfg()).unwrap();
     restarted.restore(&snapshot).unwrap();
     // Refill the window exactly as a restarted replay would.
     for &o in &observations {
@@ -393,20 +393,20 @@ fn checkpoint_file_round_trip_and_io_errors() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("serve.ckpt");
 
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
     for &o in &synth_observations(6) {
         service.push(o);
     }
     service.tick();
     service.save_checkpoint(&path).unwrap();
 
-    let mut restored = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut restored = ShardedService::new(serve_cfg(4, 1)).unwrap();
     restored.load_checkpoint(&path).unwrap();
     assert_eq!(restored.clock_s(), service.clock_s());
 
     // Missing file surfaces as a typed I/O error, not a panic.
     let missing = dir.join("does-not-exist.ckpt");
-    let mut fresh = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut fresh = ShardedService::new(serve_cfg(4, 1)).unwrap();
     assert!(matches!(
         fresh.load_checkpoint(&missing),
         Err(Error::Serve(traffic_cs::ServeError::Io(_)))
@@ -439,24 +439,19 @@ fn check_crash_safe_save(
 #[test]
 fn checkpoint_saves_never_truncate_the_previous_file() {
     // A save writes a temp file next to the target, syncs it and renames
-    // it over the target; both engines share the writer.
+    // it over the target, whatever the shard plan.
     let root = std::env::temp_dir().join(format!("cs-serve-ckpt-crash-{}", std::process::id()));
-    let mut single = Service::new(serve_cfg(4, 1)).unwrap();
-    let sharded_cfg = ServeConfig { shards: ShardPlan::with_count(2), ..serve_cfg(4, 1) };
-    let mut sharded = ShardedService::new(sharded_cfg).unwrap();
-    for &o in &synth_observations(6) {
-        single.push(o);
-        sharded.push(o);
-    }
-    single.tick();
-    sharded.tick();
-    let dir = |engine: &str| {
-        let dir = root.join(engine);
+    for shards in [1, 2] {
+        let cfg = ServeConfig { shards: ShardPlan::with_count(shards), ..serve_cfg(4, 1) };
+        let mut engine = ShardedService::new(cfg).unwrap();
+        for &o in &synth_observations(6) {
+            engine.push(o);
+        }
+        engine.tick();
+        let dir = root.join(format!("shards-{shards}"));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
-    };
-    check_crash_safe_save(&dir("single"), |path| single.save_checkpoint(path));
-    check_crash_safe_save(&dir("sharded"), |path| sharded.save_checkpoint(path));
+        check_crash_safe_save(&dir, |path| engine.save_checkpoint(path));
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -467,7 +462,7 @@ fn queue_backpressure_under_burst_load() {
         backpressure: Backpressure::DropOldest,
         ..serve_cfg(4, 1)
     };
-    let mut service = Service::new(cfg).unwrap();
+    let mut service = ShardedService::new(cfg).unwrap();
     let observations = synth_observations(4);
     let burst = observations.len();
     for &o in &observations {
@@ -673,7 +668,7 @@ fn admission_rules_table() {
             backpressure: case.backpressure,
             ..serve_cfg(4, 1)
         };
-        let mut service = Service::new(cfg).unwrap();
+        let mut service = ShardedService::new(cfg).unwrap();
         for &o in case.input {
             service.push(o);
         }
@@ -706,7 +701,7 @@ fn counters_conserve_every_report_exactly_once() {
         backpressure: Backpressure::DropOldest,
         ..serve_cfg(4, 1)
     };
-    let mut service = Service::new(cfg).unwrap();
+    let mut service = ShardedService::new(cfg).unwrap();
     let mut pushed = 0u64;
     for round in 0..40u64 {
         let ts = round * SLOT_LEN + 5;
@@ -752,7 +747,7 @@ fn estimate_matches_window_average_where_fully_observed() {
     // Sanity: a fully observed window cell is reproduced closely by the
     // completion (the estimate is a low-rank fit, not interpolation, so
     // allow fit error).
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
     for slot in 0..4u64 {
         for seg in 0..SEGMENTS {
             service.push(Observation {
@@ -847,7 +842,7 @@ fn failed_or_non_finite_warm_pass_leaves_the_stale_estimate_untouched() {
         .build()
         .unwrap();
     let warm = || {
-        let mut s = Service::new(cfg.clone()).unwrap();
+        let mut s = ShardedService::new(cfg.clone()).unwrap();
         for slot in 0..4u64 {
             for seg in 0..6usize {
                 s.push(Observation {
@@ -862,7 +857,7 @@ fn failed_or_non_finite_warm_pass_leaves_the_stale_estimate_untouched() {
         assert!(report.solved && !report.degraded, "{report:?}");
         s
     };
-    let served = |s: &Service| {
+    let served = |s: &ShardedService| {
         let live = s.latest().unwrap();
         (live.head_slot, live.estimate.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
     };
@@ -902,7 +897,7 @@ fn a_slide_that_empties_the_window_degrades_instead_of_passing() {
     // all-zero estimate as fresh). The full path fails on the empty
     // window, so the tick degrades and the last good estimate keeps
     // answering, flagged stale.
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
     for seg in 0..SEGMENTS {
         for probe in 0..3u64 {
             service.push(Observation {
@@ -972,7 +967,8 @@ fn delta_passes_do_not_drift_over_two_simulated_days() {
         incremental,
         ..ServeConfig::default()
     };
-    let mut services = [Service::new(cfg(true)).unwrap(), Service::new(cfg(false)).unwrap()];
+    let mut services =
+        [ShardedService::new(cfg(true)).unwrap(), ShardedService::new(cfg(false)).unwrap()];
     // Per service and day: Σ|estimate − truth| and Σ|truth| over the
     // window cells the stream never reported into, scored once each
     // slot is complete.
@@ -1054,14 +1050,14 @@ fn far_future_report_ticks_promptly_and_is_admitted() {
     // once; it must not slide one slot at a time across ~3·10¹⁷ slots.
     let far = Observation { vehicle: 7, timestamp_s: u64::MAX - 1, segment: 2, speed_kmh: 33.0 };
     let (report, head, warm_window, fresh_window) = within(Duration::from_secs(20), move || {
-        let mut warm = Service::new(serve_cfg(4, 1)).unwrap();
+        let mut warm = ShardedService::new(serve_cfg(4, 1)).unwrap();
         for &o in &synth_observations(6) {
             warm.push(o);
         }
         warm.tick();
         warm.push(far);
         let report = warm.tick();
-        let mut fresh = Service::new(serve_cfg(4, 1)).unwrap();
+        let mut fresh = ShardedService::new(serve_cfg(4, 1)).unwrap();
         fresh.push(far);
         fresh.tick();
         (report, warm.head_slot(), warm.window_snapshot(), fresh.window_snapshot())
@@ -1080,9 +1076,11 @@ fn far_future_report_ticks_promptly_and_is_admitted() {
 fn checkpoint_with_far_future_clock_restores_promptly() {
     // A corrupted `clock` line must not hang the restore either.
     const CLOCK: u64 = 18_446_744_073_709_551_000;
-    let text = format!("cs-serve-checkpoint v1\nclock {CLOCK}\nhead_slot 3\nfactors none\n");
+    let body = format!("cs-serve-checkpoint v1\nclock {CLOCK}\nhead_slot 3\nfactors none\n");
+    let text =
+        format!("cs-serve-shards v1\nshards 1 segments {SEGMENTS}\nshard 0 {}\n{body}", body.len());
     let restored = within(Duration::from_secs(20), move || {
-        let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+        let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
         for &o in &synth_observations(6) {
             service.push(o);
         }

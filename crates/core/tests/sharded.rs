@@ -1,18 +1,17 @@
 //! Parity and semantics tests for [`ShardedService`].
 //!
-//! The two determinism contracts the sharded surface must honor:
+//! The two determinism contracts the engine must honor:
 //!
-//! 1. **Single-shard pass-through** — `ShardedService` with
-//!    `ShardPlan::single()` reproduces the bare [`Service`] bit for
-//!    bit: estimates, counters, solve-path counters, window snapshot,
-//!    and checkpoint restore behavior.
+//! 1. **Exact stitching** — the merged estimate of a multi-shard plan
+//!    is, bit for bit, each range's one-shard engine side by side.
 //! 2. **Thread-count invariance** — a multi-shard run produces
 //!    byte-identical merged estimates whatever the worker count, since
 //!    shards share no state.
 
 use traffic_cs::cs::CsConfig;
-use traffic_cs::service::{Observation, ServeConfig, Service};
+use traffic_cs::service::{Observation, ServeConfig};
 use traffic_cs::sharded::{ShardPlan, ShardedService};
+use traffic_cs::{Error, ServeError};
 
 const SLOT_LEN: u64 = 60;
 const SEGMENTS: usize = 10;
@@ -77,33 +76,6 @@ fn matrix_bits(m: &linalg::Matrix) -> Vec<u64> {
 }
 
 #[test]
-fn single_shard_plan_is_a_bitwise_pass_through() {
-    let observations = synth_observations(12);
-    let mut plain = Service::new(cfg(1)).unwrap();
-    let mut sharded = ShardedService::new(cfg(1)).unwrap();
-    for batch in observations.chunks(17) {
-        for &o in batch {
-            assert!(plain.push(o));
-            assert!(sharded.push(o));
-        }
-        let a = plain.tick();
-        let b = sharded.tick();
-        assert_eq!(a.admitted, b.admitted);
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.solved, b.solved);
-    }
-    assert_eq!(plain.stats(), sharded.stats());
-    assert_eq!(plain.solve_stats(), sharded.solve_stats());
-    let (pe, se) = (plain.latest().unwrap(), sharded.latest().unwrap());
-    assert_eq!(pe.head_slot, se.head_slot);
-    assert_eq!(matrix_bits(&pe.estimate), matrix_bits(&se.estimate));
-    assert_eq!(
-        matrix_bits(plain.window_snapshot().values()),
-        matrix_bits(sharded.window_snapshot().values())
-    );
-}
-
-#[test]
 fn merged_estimate_stitches_per_shard_solves_exactly() {
     // Each shard solves its own column block independently; the merged
     // view must be exactly those blocks side by side, aligned on one
@@ -115,15 +87,14 @@ fn merged_estimate_stitches_per_shard_solves_exactly() {
     assert_eq!(merged.estimate.cols(), SEGMENTS);
     assert!(!merged.stale, "all shards carry data and share the head");
 
-    // Reference: replay each shard's column range through a bare
-    // Service over the same local stream, mimicking the clock sync the
+    // Reference: replay each shard's column range through a one-shard
+    // engine over the same local stream, mimicking the clock sync the
     // sharded tick performs (advance to the global stream clock, then
     // re-solve if the window slid).
     for shard in 0..4 {
         let range = sharded.shard_range(shard);
-        let local_cfg =
-            ServeConfig { num_segments: range.len(), shards: ShardPlan::single(), ..cfg(1) };
-        let mut local = Service::new(local_cfg).unwrap();
+        let local_cfg = ServeConfig { num_segments: range.len(), ..cfg(1) };
+        let mut local = ShardedService::new(local_cfg).unwrap();
         let mut global_clock = 0u64;
         for batch in observations.chunks(23) {
             for &o in batch {
@@ -231,22 +202,36 @@ fn sharded_checkpoint_round_trips_and_validates() {
 }
 
 #[test]
-fn single_shard_accepts_legacy_service_checkpoints() {
+fn bare_sections_are_refused_at_any_plan() {
+    // The container is the one checkpoint format: a bare
+    // `cs-serve-checkpoint v1` section, what a shard writes inside it,
+    // is refused on its first line whatever the plan.
     let observations = synth_observations(12);
-    let mut plain = Service::new(cfg(1)).unwrap();
-    for &o in &observations {
-        plain.push(o);
+    for shards in [1, 4] {
+        let text = replay_sharded(cfg(shards), &observations, 23).checkpoint();
+        let body_start = text.find("cs-serve-checkpoint v1\n").expect("a section per shard");
+        let bare = &text[body_start..];
+        let err = ShardedService::new(cfg(shards)).unwrap().restore(bare).unwrap_err();
+        assert!(
+            matches!(err, Error::Serve(ServeError::Checkpoint { line: 1, .. })),
+            "{shards} shards: {err}"
+        );
     }
-    plain.tick();
-    let legacy = plain.checkpoint();
+}
 
-    let mut sharded = ShardedService::new(cfg(1)).unwrap();
-    sharded.restore(&legacy).unwrap();
-    assert_eq!(sharded.clock_s(), plain.clock_s());
-
-    // But a multi-shard plan must refuse a legacy single checkpoint.
-    let mut four = ShardedService::new(cfg(4)).unwrap();
-    assert!(four.restore(&legacy).is_err());
+#[test]
+fn section_errors_name_their_container_line_and_shard() {
+    // Shard 3 of 4 over 10 segments owns 2 columns, so its section is
+    // the container's lines 27–32, its last factor row on line 32.
+    // Break the first hex word of that row, keeping its length (and so
+    // the section's byte count).
+    let text = replay_sharded(cfg(4), &synth_observations(12), 23).checkpoint();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    assert!(lines[25].starts_with("shard 3 ") && lines.len() == 32, "{text}");
+    lines[31].replace_range(..2, "zz");
+    let corrupt = lines.join("\n") + "\n";
+    let err = ShardedService::new(cfg(4)).unwrap().restore(&corrupt).unwrap_err();
+    assert_eq!(err.to_string(), "serve: bad checkpoint (line 32): shard 3: malformed hex word");
 }
 
 #[test]

@@ -10,7 +10,8 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use traffic_cs::cs::CsConfig;
-use traffic_cs::service::{report_trace_id, Backpressure, Observation, ServeConfig, Service};
+use traffic_cs::service::{report_trace_id, Backpressure, Observation, ServeConfig};
+use traffic_cs::ShardedService;
 
 fn serialize() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
@@ -19,7 +20,7 @@ fn serialize() -> MutexGuard<'static, ()> {
     guard
 }
 
-fn service(num_threads: usize, backpressure: Backpressure) -> Service {
+fn service(num_threads: usize, backpressure: Backpressure) -> ShardedService {
     let cfg = ServeConfig::builder()
         .slot_len_s(60)
         .window_slots(4)
@@ -30,7 +31,7 @@ fn service(num_threads: usize, backpressure: Backpressure) -> Service {
         .cs(CsConfig { rank: 2, lambda: 0.1, num_threads, ..CsConfig::default() })
         .build()
         .unwrap();
-    Service::new(cfg).unwrap()
+    ShardedService::new(cfg).unwrap()
 }
 
 /// One canonical line per `serve.trace` record: name plus every field in
@@ -145,10 +146,10 @@ fn trace_ids_are_the_documented_fnv_and_sampling_filters_by_modulus() {
         .cs(CsConfig { rank: 2, lambda: 0.1, ..CsConfig::default() })
         .build()
         .unwrap();
-    let mut s = Service::new(cfg).unwrap();
+    let mut s = ShardedService::new(cfg).unwrap();
     let mut expected = Vec::new();
     for v in 0..32u64 {
-        let id = report_trace_id(v, 30, 1, s.ingest_seq());
+        let id = report_trace_id(v, 30, 1, s.ingest_seq_for(1));
         if id.is_multiple_of(3) {
             expected.push(format!("{id:016x}"));
         }
@@ -182,7 +183,7 @@ fn tracing_off_emits_nothing_even_at_trace_level() {
         .cs(CsConfig { rank: 2, lambda: 0.1, ..CsConfig::default() })
         .build()
         .unwrap();
-    let mut s = Service::new(cfg).unwrap();
+    let mut s = ShardedService::new(cfg).unwrap();
     s.push(Observation { vehicle: 1, timestamp_s: 30, segment: 1, speed_kmh: 30.0 });
     s.tick();
     assert_eq!(sink.count_named("serve.trace"), 0, "trace_sample 0 must emit no traces");

@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use traffic_cs::cs::CsConfig;
-use traffic_cs::service::{Observation, ServeConfig, Service};
+use traffic_cs::service::{Observation, ServeConfig};
+use traffic_cs::ShardedService;
 
 const TERMINAL: &[&str] = &["solved", "degraded", "checkpointed"];
 
@@ -65,7 +66,7 @@ proptest! {
             .cs(CsConfig { rank: 2, lambda: 0.1, ..CsConfig::default() })
             .build()
             .unwrap();
-        let mut s = Service::new(cfg).unwrap();
+        let mut s = ShardedService::new(cfg).unwrap();
         for (i, obs) in reports.iter().enumerate() {
             s.push(*obs);
             if (i + 1) % ticks_every == 0 {

@@ -105,6 +105,14 @@ fn env_default_threads() -> usize {
     })
 }
 
+/// The available cores, read once per process: on Linux
+/// `available_parallelism` reads cgroup files, tens of microseconds and
+/// a few allocations a call, which every `0`-thread fan-out would pay.
+fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
 /// Resolves a requested thread count to a concrete worker count:
 /// explicit values pass through, `0` defers to [`set_default_threads`],
 /// then to the `CS_THREADS` environment variable, and then to the number
@@ -113,7 +121,7 @@ pub fn resolve_threads(requested: usize) -> usize {
     let n = match requested {
         0 => match default_threads() {
             0 => match env_default_threads() {
-                0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+                0 => available_cores(),
                 e => e,
             },
             d => d,

@@ -86,7 +86,7 @@ pub mod prelude {
     pub use traffic_cs::metrics::{nmae_on_missing, relative_error_cdf};
     pub use traffic_cs::online::OnlineEstimator;
     pub use traffic_cs::selection::{adaptive_matrix, select_correlated};
-    pub use traffic_cs::service::{LiveEstimate, ServeConfig, Service};
+    pub use traffic_cs::service::{LiveEstimate, ServeConfig};
     pub use traffic_cs::sharded::{ShardPlan, ShardedService};
     pub use traffic_cs::weighted::{complete_matrix_weighted, WeightScheme};
     pub use traffic_cs::{ConfigError, Error as TrafficCsError};
@@ -105,7 +105,7 @@ mod tests {
         assert_eq!(cfg.rank, 2);
         assert_eq!(Granularity::all().len(), 3);
         let serve = ServeConfig::builder().num_segments(4).build().unwrap();
-        assert!(Service::new(serve).is_ok());
+        assert_eq!(ShardedService::new(serve).unwrap().shard_count(), 1);
         let sharded = ServeConfig::builder()
             .num_segments(4)
             .shards(ShardPlan::with_count(2))
