@@ -83,8 +83,9 @@ use crate::error::{ConfigError, Error};
 use crate::online::OnlineEstimator;
 use linalg::Matrix;
 use probes::stream::StreamingTcm;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::time::{Duration, Instant};
 use telemetry::Level;
 
@@ -177,7 +178,12 @@ impl From<std::io::Error> for ServeError {
 pub struct ServeConfig {
     /// Absolute start of the slot grid, in seconds.
     pub start_s: u64,
-    /// Slot length in seconds (the TCM granularity).
+    /// Slot length in seconds (the TCM granularity). Validation
+    /// refuses a `slot_len_s × num_segments` product that overflows
+    /// `u64`, naming this field: a dedup key packs a report's second
+    /// within its slot with its segment, and the packing is injective
+    /// only while every product fits (a 900 s slot allows 2·10¹⁶
+    /// segments).
     pub slot_len_s: u64,
     /// Height of the sliding window, in slots.
     pub window_slots: usize,
@@ -261,6 +267,18 @@ impl ServeConfig {
         }
         if self.num_segments == 0 {
             return Err(ConfigError::new("num_segments", "need at least one segment column"));
+        }
+        // A dedup key packs a report's second within its slot with its
+        // segment; the packing is injective only while every pair fits.
+        let segments = u64::try_from(self.num_segments).unwrap_or(u64::MAX);
+        if self.slot_len_s.checked_mul(segments).is_none() {
+            return Err(ConfigError::new(
+                "slot_len_s",
+                format!(
+                    "slot_len_s × num_segments must fit in u64 ({} × {} does not)",
+                    self.slot_len_s, self.num_segments
+                ),
+            ));
         }
         if self.queue_capacity == 0 {
             return Err(ConfigError::new("queue_capacity", "queue must hold at least one report"));
@@ -495,9 +513,57 @@ struct Queued {
     obs: Observation,
     /// Sampled trace ID (`None` when tracing is off or unsampled).
     trace: Option<u64>,
-    /// Enqueue instant, the start of the `serve.e2e_us` measurement.
-    enqueued: Instant,
+    /// Enqueue instant, the start of the `serve.e2e_us` measurement
+    /// (`None` when metrics were off at the push: nothing will read it).
+    enqueued: Option<Instant>,
 }
+
+/// Reports [`Service::drain`] locates and hashes before it admits any of
+/// them. With the hashing done up front, one report's dedup probe can
+/// miss cache while the next ones' probes are already under way.
+const HASH_BLOCK: usize = 64;
+
+/// A dedup-table key: the report's vehicle and its cell within its slot,
+/// `(timestamp_s − slot start) × num_segments + segment`. One ring
+/// slot's map only ever holds keys of one absolute slot, and
+/// [`ServeConfig`] validation keeps `slot_len_s × num_segments` within
+/// `u64`, so the packing is injective. The key carries its keyed
+/// SipHash-1-3 digest, so the map never hashes a key again — growth
+/// included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DedupKey {
+    hash: u64,
+    vehicle: u64,
+    cell: u64,
+}
+
+impl Hash for DedupKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The dedup maps' hasher: it passes on the digest a [`DedupKey`]
+/// carries.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a DedupKey hashes as its digest alone");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// One ring slot's dedup map: last admitted speed per key.
+type DedupMap = HashMap<DedupKey, f64, BuildHasherDefault<PassThrough>>;
 
 /// The streaming estimation loop of one shard. See the
 /// [module docs](self).
@@ -507,10 +573,13 @@ pub(crate) struct Service {
     queue: VecDeque<Queued>,
     window: StreamingTcm,
     estimator: OnlineEstimator,
-    /// The dedup table: last admitted speed per `(vehicle, timestamp,
-    /// segment)` key, one map per ring slot (`abs_slot % window_slots`).
-    /// Evicting a slot clears its map in place, keeping the capacity.
-    seen: Vec<HashMap<(u64, u64, usize), f64>>,
+    /// The dedup table: last admitted speed per [`DedupKey`], one map
+    /// per ring slot (`abs_slot % window_slots`). Evicting a slot clears
+    /// its map in place, keeping the capacity.
+    seen: Vec<DedupMap>,
+    /// This shard's keyed SipHash-1-3: dedup keys come from network
+    /// clients, so their digests must not be predictable.
+    hasher: RandomState,
     last_good: Option<LiveEstimate>,
     /// Simulated clock: the maximum timestamp ingested so far.
     clock_s: u64,
@@ -523,10 +592,11 @@ pub(crate) struct Service {
     /// Reports pushed so far — the `ingest_seq` input of the next
     /// report's [`report_trace_id`].
     ingest_seq: u64,
-    /// Reports admitted this tick, awaiting their estimate (terminal
-    /// trace stage + e2e sample). Cleared in place each tick so the
-    /// capacity amortizes.
-    pending: Vec<(Option<u64>, Instant)>,
+    /// Reports admitted this tick that something observes — a trace ID
+    /// or an enqueue instant — awaiting their estimate (terminal trace
+    /// stage + e2e sample). Cleared in place each tick so the capacity
+    /// amortizes; never allocated while nothing observes a report.
+    pending: Vec<(Option<u64>, Option<Instant>)>,
     /// Warm-pass and full-sweep breakdown.
     solve_stats: SolveStats,
 }
@@ -593,7 +663,8 @@ impl Service {
             queue: VecDeque::new(),
             window,
             estimator,
-            seen: (0..m).map(|_| HashMap::new()).collect(),
+            seen: (0..m).map(|_| DedupMap::default()).collect(),
+            hasher: RandomState::new(),
             last_good: None,
             dirty: false,
             stats: ServeStats::default(),
@@ -765,7 +836,8 @@ impl Service {
         if let Some(id) = trace {
             Self::trace_stage(id, "ingest", &obs);
         }
-        self.queue.push_back(Queued { obs, trace, enqueued: Instant::now() });
+        let enqueued = telemetry::metrics_enabled().then(Instant::now);
+        self.queue.push_back(Queued { obs, trace, enqueued });
         true
     }
 
@@ -779,7 +851,8 @@ impl Service {
         if let Some(slot) = self.window.slot_of(now_s) {
             if slot > self.window.head_slot() {
                 self.advance_window(slot);
-                self.dirty = true;
+                // A window that never held data has nothing to solve.
+                self.dirty |= self.stats.admitted > 0;
             }
         }
     }
@@ -797,11 +870,34 @@ impl Service {
         self.window.advance_to_slot(slot);
     }
 
-    /// Applies the admission rules to every queued report.
+    /// Applies the admission rules to every queued report, a block of
+    /// [`HASH_BLOCK`] at a time: each block is located and hashed first,
+    /// then admitted in order.
     fn drain(&mut self, report: &mut TickReport) {
-        while let Some(queued) = self.queue.pop_front() {
-            self.admit(queued, report);
+        let mut block = [None; HASH_BLOCK];
+        while !self.queue.is_empty() {
+            let len = self.queue.len().min(HASH_BLOCK);
+            for (located, queued) in block.iter_mut().zip(&self.queue) {
+                *located = self.locate(&queued.obs);
+            }
+            for &located in &block[..len] {
+                let queued = self.queue.pop_front().expect("the block covers queued reports");
+                self.admit(queued, located, report);
+            }
         }
+    }
+
+    /// A report's absolute slot and its dedup key, or `None` before the
+    /// grid start. The key of a report admission will reject is garbage
+    /// and never used.
+    fn locate(&self, obs: &Observation) -> Option<(usize, DedupKey)> {
+        let since = obs.timestamp_s.checked_sub(self.config.start_s)?;
+        let slot_len = self.config.slot_len_s;
+        let (slot, second) = (since / slot_len, since % slot_len);
+        let cell =
+            second.wrapping_mul(self.config.num_segments as u64).wrapping_add(obs.segment as u64);
+        let hash = self.hasher.hash_one((obs.vehicle, cell));
+        Some((slot as usize, DedupKey { hash, vehicle: obs.vehicle, cell }))
     }
 
     /// Drains the ingest queue through the admission rules, then — if
@@ -852,7 +948,7 @@ impl Service {
         let e2e_metric = self.latency_hists().map(|l| std::sync::Arc::clone(&l.e2e_us));
         let now = Instant::now();
         for &(trace, enqueued) in &self.pending {
-            if let Some(h) = &e2e_metric {
+            if let (Some(h), Some(enqueued)) = (&e2e_metric, enqueued) {
                 h.observe(now.saturating_duration_since(enqueued).as_micros() as f64);
             }
             if let Some(id) = trace {
@@ -889,8 +985,14 @@ impl Service {
         self.tick()
     }
 
-    /// Applies the admission rules to one report.
-    fn admit(&mut self, queued: Queued, report: &mut TickReport) {
+    /// Applies the admission rules to one report, `located` by
+    /// [`Service::locate`].
+    fn admit(
+        &mut self,
+        queued: Queued,
+        located: Option<(usize, DedupKey)>,
+        report: &mut TickReport,
+    ) {
         let Queued { obs, trace, enqueued } = queued;
         // Rule 1: malformed reports (a speed that is NaN, negative, or
         // above the ceiling, infinities included; an unknown segment)
@@ -913,12 +1015,8 @@ impl Service {
         }
         // Rule 2: late reports (slot already evicted, or before the grid
         // start) are dropped and counted.
-        let slot = self.window.slot_of(obs.timestamp_s);
-        let late = match slot {
-            None => true,
-            Some(s) => s < self.window.tail_slot(),
-        };
-        if late {
+        let tail = self.window.tail_slot();
+        let Some((abs_slot, key)) = located.filter(|&(slot, _)| slot >= tail) else {
             self.stats.dropped_late += 1;
             report.dropped_late += 1;
             if telemetry::metrics_enabled() {
@@ -928,18 +1026,17 @@ impl Service {
                 Self::trace_stage(id, "dropped_late", &obs);
             }
             return;
-        }
-        // The slot is in range and not late; slide the window here
-        // rather than letting `observe` do it, so every evicted slot's
-        // dedup map is cleared before its ring entry is reused.
-        let abs_slot = slot.expect("late check above rules out None");
+        };
+        // The slot is in range and not late; slide the window here, so
+        // every evicted slot's dedup map is cleared before its ring
+        // entry is reused.
         if abs_slot > self.window.head_slot() {
             self.advance_window(abs_slot);
         }
         let ring = abs_slot % self.config.window_slots;
         // Rule 3: exact re-delivery of an admitted key — last write wins.
         // One probe of the slot's dedup map both finds and records it.
-        match self.seen[ring].entry((obs.vehicle, obs.timestamp_s, obs.segment)) {
+        match self.seen[ring].entry(key) {
             Entry::Occupied(mut entry) => {
                 let old_speed = entry.insert(obs.speed_kmh);
                 self.stats.duplicates += 1;
@@ -958,28 +1055,29 @@ impl Service {
                 entry.insert(obs.speed_kmh);
             }
         }
-        self.window
-            .observe(obs.timestamp_s, obs.segment, obs.speed_kmh)
-            .expect("validated above: segment in range, speed finite and non-negative");
+        // Validated above: the speed, the segment and the slot's row.
+        self.window.add_at(abs_slot - self.window.tail_slot(), obs.segment, obs.speed_kmh);
         self.stats.admitted += 1;
         report.admitted += 1;
         if telemetry::metrics_enabled() {
             telemetry::counter("serve.admitted").incr();
         }
         if let Some(id) = trace {
-            // Window placement: the slot row this report's speed landed
-            // in — `slot` is `Some` and in-window past the rules above.
+            // Window placement: the absolute slot this report's speed
+            // landed in.
             telemetry::trace_event(
                 "serve.trace",
                 vec![
                     ("trace".into(), telemetry::Value::Str(format!("{id:016x}"))),
                     ("stage".into(), telemetry::Value::Str("admitted".to_string())),
-                    ("slot".into(), telemetry::Value::UInt(slot.unwrap_or(0) as u64)),
+                    ("slot".into(), telemetry::Value::UInt(abs_slot as u64)),
                     ("segment".into(), telemetry::Value::UInt(obs.segment as u64)),
                 ],
             );
         }
-        self.pending.push((trace, enqueued));
+        if trace.is_some() || enqueued.is_some() {
+            self.pending.push((trace, enqueued));
+        }
         self.dirty = true;
     }
 
@@ -1295,6 +1393,41 @@ mod tests {
         // Service::new validates struct literals too.
         let cfg = ServeConfig { window_slots: 0, ..ServeConfig::default() };
         assert!(matches!(Service::new(cfg), Err(Error::Config(_))));
+    }
+
+    #[test]
+    fn unobserved_reports_leave_pending_unallocated() {
+        // Metrics off and tracing off: nothing reads an enqueue instant
+        // or a trace ID, so push takes neither and admission records
+        // nothing for the settle.
+        assert!(!telemetry::metrics_enabled());
+        let cfg = ServeConfig { num_segments: 50, queue_capacity: 1_000, ..small_cfg() };
+        let mut s = Service::new(cfg).unwrap();
+        for i in 0..1_000u64 {
+            assert!(s.push(obs(i, i % 240, (i % 50) as usize, 30.0 + (i % 7) as f64)));
+        }
+        assert!(s.queue.iter().all(|q| q.trace.is_none() && q.enqueued.is_none()));
+        let report = s.tick();
+        assert_eq!(report.admitted, 1_000);
+        assert!(report.solved, "{report:?}");
+        assert_eq!(s.pending.capacity(), 0);
+    }
+
+    #[test]
+    fn dedup_digests_are_keyed_per_engine() {
+        // Dedup keys come from network clients: each engine keys its
+        // SipHash afresh, so one key digests differently in two engines
+        // built from one config, and alike within one engine.
+        let cfg = small_cfg();
+        let (a, b) = (Service::new(cfg.clone()).unwrap(), Service::new(cfg).unwrap());
+        let report = obs(7, 65, 2, 30.0);
+        let (slot, key) = a.locate(&report).unwrap();
+        // Slot 1, second 5 of it, segment 2 of 3.
+        assert_eq!((slot, key.vehicle, key.cell), (1, 7, 5 * 3 + 2));
+        assert_eq!(a.locate(&report), Some((slot, key)));
+        let (_, other) = b.locate(&report).unwrap();
+        assert_eq!((other.vehicle, other.cell), (key.vehicle, key.cell));
+        assert_ne!(other.hash, key.hash, "two engines share a dedup hash key");
     }
 
     #[test]

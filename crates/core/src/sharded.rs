@@ -164,7 +164,7 @@ impl ShardedService {
     ///
     /// [`Error::Config`] when the config or shard plan is invalid.
     pub fn new(config: ServeConfig) -> Result<Self, Error> {
-        config.shards.validate(config.num_segments).map_err(Error::Config)?;
+        config.validate()?;
         let plan = config.shards;
         let mut shards = Vec::with_capacity(plan.count);
         for i in 0..plan.count {

@@ -9,6 +9,7 @@ use traffic_cs::service::{Backpressure, Observation, ServeConfig, MAX_SPEED_KMH}
 use traffic_cs::sharded::{ShardPlan, ShardedService};
 use traffic_cs::{Error, ServeError};
 
+use std::collections::HashMap;
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
@@ -1089,4 +1090,142 @@ fn checkpoint_with_far_future_clock_restores_promptly() {
         Ok::<_, String>((service.clock_s(), service.head_slot()))
     });
     assert_eq!(restored, Ok((CLOCK, (CLOCK / SLOT_LEN) as usize)));
+}
+
+/// The window a last-write-wins model predicts: per cell, the sum of
+/// the model's speeds over their count, for the `slots` slots ending at
+/// `head` (grid start `start_s`). Returns the values' and the
+/// indicator's bits, row-major.
+fn model_window(
+    model: &HashMap<(u64, u64, usize), f64>,
+    start_s: u64,
+    head: usize,
+    slots: usize,
+    segments: usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let tail = head + 1 - slots;
+    let (mut sums, mut counts) = (vec![0.0; slots * segments], vec![0.0; slots * segments]);
+    for (&(_, ts, seg), &speed) in model {
+        let slot = ((ts - start_s) / SLOT_LEN) as usize;
+        if (tail..=head).contains(&slot) {
+            sums[(slot - tail) * segments + seg] += speed;
+            counts[(slot - tail) * segments + seg] += 1.0;
+        }
+    }
+    let values = sums.iter().zip(&counts).map(|(&s, &c)| if c > 0.0 { s / c } else { 0.0 });
+    let indicator = counts.iter().map(|&c| if c > 0.0 { 1.0f64 } else { 0.0 });
+    (values.map(f64::to_bits).collect(), indicator.map(f64::to_bits).collect())
+}
+
+#[test]
+fn packed_dedup_keys_stay_distinct_at_slot_and_segment_edges() {
+    // A dedup key packs a report's second within its slot with its
+    // segment. Keys one second apart (a slot's first and last two
+    // seconds, so the last second of one slot sits next to the first of
+    // the next) and one segment apart (every segment, so every shard's
+    // first and last) must stay distinct keys, and a re-delivery of
+    // each must replace exactly its own speed. The grid starts off the
+    // slot-length multiples. After the first four slots, four more
+    // slide them out and reuse their ring slots' maps with the same
+    // seconds and segments: those keys are new, not duplicates. Speeds
+    // are whole numbers, so every cell's sum is exact in any order.
+    const START: u64 = 30;
+    const SEGS: usize = 8;
+    const SLOTS: usize = 4;
+    for shards in [1, 3] {
+        let cfg = ServeConfig::builder()
+            .start_s(START)
+            .slot_len_s(SLOT_LEN)
+            .window_slots(SLOTS)
+            .num_segments(SEGS)
+            .cs(cs_cfg(1))
+            .queue_capacity(10_000)
+            .shards(ShardPlan::with_count(shards))
+            .build()
+            .unwrap();
+        let mut service = ShardedService::new(cfg).unwrap();
+        if shards == 3 {
+            let widths: Vec<usize> = (0..3).map(|s| service.shard_range(s).len()).collect();
+            assert_eq!(widths, [3, 3, 2], "uneven ranges");
+        }
+        let mut model: HashMap<(u64, u64, usize), f64> = HashMap::new();
+        let (mut admitted, mut duplicates) = (0u64, 0u64);
+        for first_slot in [0, SLOTS as u64] {
+            let mut keys = Vec::new();
+            for slot in first_slot..first_slot + SLOTS as u64 {
+                for offset in [0, 1, SLOT_LEN - 2, SLOT_LEN - 1] {
+                    for segment in 0..SEGS {
+                        for vehicle in [1u64, 2] {
+                            keys.push((vehicle, START + slot * SLOT_LEN + offset, segment));
+                        }
+                    }
+                }
+            }
+            for (round, base) in [(0, 20.0), (1, 60.0)] {
+                for (i, &(vehicle, timestamp_s, segment)) in keys.iter().enumerate() {
+                    let speed_kmh = base + (i % 37) as f64;
+                    assert!(service.push(Observation { vehicle, timestamp_s, segment, speed_kmh }));
+                    duplicates += u64::from(
+                        model.insert((vehicle, timestamp_s, segment), speed_kmh).is_some(),
+                    );
+                    admitted += 1;
+                }
+                service.tick();
+                let at = format!("{shards} shard(s), slots from {first_slot}, round {round}");
+                let stats = service.stats();
+                assert_eq!((stats.admitted, stats.duplicates), (admitted, duplicates), "{at}");
+                assert_eq!((stats.rejected, stats.dropped_late), (0, 0), "{at}");
+                let head = service.head_slot();
+                assert_eq!(head, first_slot as usize + SLOTS - 1, "{at}");
+                let (values, indicator) = model_window(&model, START, head, SLOTS, SEGS);
+                let window = service.window_snapshot();
+                assert_eq!(bits(window.values()), values, "{at}: window values");
+                assert_eq!(bits(window.indicator()), indicator, "{at}: window indicator");
+            }
+        }
+        assert_eq!(duplicates, 2 * 4 * 4 * SEGS as u64 * 2, "one re-delivery per key");
+    }
+}
+
+#[test]
+fn slot_length_times_segments_must_fit_in_u64() {
+    // The dedup key packs a second within its slot with a segment, so
+    // `slot_len_s × num_segments` must fit in u64. u64::MAX is exactly
+    // 3 × (u64::MAX / 3): the largest product that fits.
+    let fits = u64::MAX / 3;
+    assert_eq!(fits * 3, u64::MAX);
+    let cfg = |slot_len_s| {
+        ServeConfig::builder()
+            .slot_len_s(slot_len_s)
+            .window_slots(2)
+            .num_segments(3)
+            .cs(cs_cfg(1))
+            .build()
+    };
+    let err = cfg(fits + 1).unwrap_err();
+    assert_eq!(err.field, "slot_len_s", "{err}");
+    // A struct literal is refused too, whatever the shard plan splits.
+    let literal = ServeConfig {
+        slot_len_s: fits + 1,
+        num_segments: 3,
+        shards: ShardPlan::with_count(3),
+        ..ServeConfig::default()
+    };
+    assert!(
+        matches!(ShardedService::new(literal), Err(Error::Config(ref e)) if e.field == "slot_len_s")
+    );
+    // The largest product builds, and its slot's last second on its
+    // last segment is a key of its own.
+    let mut service = ShardedService::new(cfg(fits).unwrap()).unwrap();
+    let last = fits - 1;
+    for (timestamp_s, segment, speed_kmh) in
+        [(0, 0, 30.0), (last, 2, 31.0), (last, 1, 32.0), (last - 1, 2, 33.0), (last, 2, 34.0)]
+    {
+        assert!(service.push(Observation { vehicle: 1, timestamp_s, segment, speed_kmh }));
+    }
+    let report = service.tick();
+    assert_eq!((report.admitted, report.duplicates), (5, 1), "{report:?}");
+    let window = service.window_snapshot();
+    assert_eq!(window.get(0, 2), Some((33.0 + 34.0) / 2.0));
+    assert_eq!(window.get(0, 1), Some(32.0));
 }

@@ -270,3 +270,41 @@ fn lagging_shard_is_synced_to_the_global_clock() {
         assert_eq!(col, 0, "stale columns must have been evicted by the sync");
     }
 }
+
+#[test]
+fn a_shard_that_never_admitted_a_report_never_degrades() {
+    // Two shards over 8 segments with a 4-slot window; only shard 0's
+    // columns carry traffic. The clock sync slides shard 1's empty
+    // window along, which must not make it solve (and fail) on that
+    // tick or on any idle tick after it.
+    let cfg = ServeConfig::builder()
+        .slot_len_s(SLOT_LEN)
+        .window_slots(4)
+        .num_segments(8)
+        .cs(CsConfig { rank: 2, lambda: 0.1, num_threads: 1, ..CsConfig::default() })
+        .queue_capacity(10_000)
+        .shards(ShardPlan::with_count(2))
+        .build()
+        .unwrap();
+    let mut service = ShardedService::new(cfg).unwrap();
+    assert_eq!(service.shard_range(0), 0..4);
+    for slot in 0..8u64 {
+        for k in 0..12u64 {
+            service.push(Observation {
+                vehicle: k,
+                timestamp_s: slot * SLOT_LEN + k,
+                segment: (k % 4) as usize,
+                speed_kmh: 30.0 + (slot + k % 5) as f64,
+            });
+        }
+        let report = service.tick();
+        assert!(report.solved && !report.degraded, "slot {slot}: {report:?}");
+    }
+    for idle in 0..5 {
+        let report = service.tick();
+        assert!(!report.solved && !report.degraded, "idle tick {idle}: {report:?}");
+    }
+    let per_shard = service.stats_per_shard();
+    assert_eq!((per_shard[1].admitted, per_shard[1].degraded), (0, 0), "{per_shard:?}");
+    assert_eq!(per_shard[0].degraded, 0, "{per_shard:?}");
+}

@@ -171,10 +171,22 @@ impl StreamingTcm {
             self.dropped_late += 1;
             return Ok(());
         }
-        let row = slot - self.tail_slot();
+        self.add_at(slot - self.tail_slot(), segment, speed_kmh);
+        Ok(())
+    }
+
+    /// Adds one observation to window row `row` (0 = oldest slot) —
+    /// [`StreamingTcm::observe`] for a caller that has already validated
+    /// the speed, located the slot in the window and slid the window
+    /// there, so nothing is checked or divided again.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row >= window_slots` or `segment >= num_segments`.
+    pub fn add_at(&mut self, row: usize, segment: usize, speed_kmh: f64) {
+        debug_assert!(speed_kmh.is_finite() && speed_kmh >= 0.0, "unvalidated speed {speed_kmh}");
         self.sums[row][segment] += speed_kmh;
         self.counts[row][segment] += 1.0;
-        Ok(())
     }
 
     /// Withdraws one previously admitted observation — the mechanism
@@ -298,6 +310,20 @@ mod tests {
             assert_eq!(raw, s.row_raw(row), "row {row}");
         }
         assert_eq!(s.rows_raw().count(), 5);
+    }
+
+    #[test]
+    fn add_at_matches_observe_on_a_located_row() {
+        let mut by_time = StreamingTcm::new(30, 60, 3, 2).unwrap();
+        let mut by_row = by_time.clone();
+        for (ts, seg, v) in [(30u64, 0usize, 10.0), (89, 1, 20.0), (90, 1, 30.0), (239, 0, 5.5)] {
+            by_time.observe(ts, seg, v).unwrap();
+            let slot = by_row.slot_of(ts).unwrap();
+            by_row.advance_to_slot(slot);
+            by_row.add_at(slot - by_row.tail_slot(), seg, v);
+        }
+        assert_eq!(by_row.head_slot(), by_time.head_slot());
+        assert!(by_row.rows_raw().eq(by_time.rows_raw()));
     }
 
     #[test]
