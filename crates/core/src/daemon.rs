@@ -17,9 +17,19 @@
 //!   pipelined: no response, the handler forwards them to the engine
 //!   and keeps reading. [`Request::Sync`] is the barrier that forces a
 //!   tick and reports counters.
-//! * **Query** — [`Request::QueryEstimate`] / [`Request::QueryStats`] /
-//!   [`Request::QueryHealth`] round-trip through the engine and answer
-//!   from the merged view.
+//! * **Query** — [`Request::QueryEstimate`] does not go through the
+//!   engine. After every tick (a [`Request::Sync`] barrier, the timer
+//!   tick, [`Request::Shutdown`] and the final tick) the engine
+//!   publishes the merged estimate as a shared snapshot
+//!   ([`ShardedService::latest_shared`]), and it does so *before* it
+//!   replies [`Response::Synced`]. A connection thread answers an
+//!   estimate query by cloning the newest snapshot and encoding it
+//!   straight from its `f64` cells, so a query never waits for a tick
+//!   in progress: it reads the last published epoch. A client that has
+//!   seen `Synced` reads that tick's estimate, on any connection.
+//!   [`Request::QueryStats`] and [`Request::QueryHealth`] still
+//!   round-trip through the engine, because their answers (queue
+//!   length, backpressure drops) change with every push.
 //!
 //! # Robustness
 //!
@@ -34,13 +44,13 @@
 use std::io::{self, Read};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use proto::frame::{write_frame, FrameError, HEADER_LEN, MAX_FRAME_LEN};
 use proto::msg::{
-    ErrorCode, Request, Response, WireEstimate, WireReport, WireStats, PROTOCOL, VERSION,
+    ErrorCode, EstimateHeader, Request, Response, WireReport, WireStats, PROTOCOL, VERSION,
 };
 use proto::net::{BindAddr, Conn, Listener};
 
@@ -156,7 +166,6 @@ impl Counters {
 /// Commands connection handlers forward to the engine thread.
 enum Cmd {
     Push(Vec<WireReport>),
-    Estimate(mpsc::Sender<Response>),
     Stats(mpsc::Sender<Response>),
     Health(mpsc::Sender<Response>),
     Sync { pushed: u64, reply: mpsc::Sender<Response> },
@@ -175,15 +184,31 @@ fn wire_stats(s: &ServeStats) -> WireStats {
     }
 }
 
-fn wire_estimate(e: &LiveEstimate) -> WireEstimate {
-    let (rows, cols) = (e.estimate.rows(), e.estimate.cols());
-    let mut values_bits = Vec::with_capacity(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            values_bits.push(e.estimate.get(r, c).to_bits());
-        }
-    }
-    WireEstimate {
+/// The slot holding the engine's newest published estimate.
+type Published = Mutex<Option<Arc<LiveEstimate>>>;
+
+/// Locks the slot. It only ever holds a whole `Option<Arc<_>>`, so a
+/// panic elsewhere cannot leave it half written and poison is ignored.
+fn lock(slot: &Published) -> MutexGuard<'_, Option<Arc<LiveEstimate>>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Publishes the engine's merged estimate. The snapshot it replaces is
+/// released after the lock, so no reader waits on that drop.
+fn publish(slot: &Published, service: &ShardedService) {
+    let replaced = std::mem::replace(&mut *lock(slot), service.latest_shared());
+    drop(replaced);
+}
+
+/// The `Estimate` payload for a snapshot, encoded straight from the
+/// merged matrix's cells. The snapshot is released when this returns,
+/// so a slow reader holds its encoded bytes, not the estimate.
+fn snapshot_payload(snapshot: Option<Arc<LiveEstimate>>) -> Vec<u8> {
+    let Some(e) = snapshot else {
+        return Response::Estimate(None).encode();
+    };
+    let (rows, cols) = e.estimate.shape();
+    let header = EstimateHeader {
         head_slot: e.head_slot as u64,
         solved_at_s: e.solved_at_s,
         stale: e.stale,
@@ -191,8 +216,8 @@ fn wire_estimate(e: &LiveEstimate) -> WireEstimate {
         objective_bits: e.objective.to_bits(),
         rows: rows as u32,
         cols: cols as u32,
-        values_bits,
-    }
+    };
+    Response::encode_estimate(&header, e.estimate.as_slice())
 }
 
 fn to_observation(r: WireReport) -> Observation {
@@ -293,12 +318,14 @@ impl Daemon {
         let Daemon { config, listener, addr, service } = self;
         listener.set_nonblocking(true).map_err(daemon_io("listener"))?;
         let counters = Arc::new(Counters::default());
+        let published: Arc<Published> = Arc::new(Mutex::new(service.latest_shared()));
         let (tx, rx) = mpsc::channel::<Cmd>();
 
-        let engine_cfg = (config.tick_interval, config.checkpoint.clone());
+        let (tick_interval, checkpoint) = (config.tick_interval, config.checkpoint.clone());
+        let engine_slot = published.clone();
         let engine = thread::Builder::new()
             .name("cs-daemon-engine".into())
-            .spawn(move || engine_loop(service, rx, engine_cfg.0, engine_cfg.1))
+            .spawn(move || engine_loop(service, rx, tick_interval, checkpoint, &engine_slot))
             .map_err(daemon_io("engine spawn"))?;
 
         let mut fatal: Option<Error> = None;
@@ -308,6 +335,7 @@ impl Daemon {
                 Ok(conn) => {
                     counters.connections.fetch_add(1, Ordering::Relaxed);
                     let tx = tx.clone();
+                    let published = published.clone();
                     let counters = counters.clone();
                     let stop = stop.clone();
                     let tuning = ConnTuning {
@@ -317,7 +345,7 @@ impl Daemon {
                     };
                     match thread::Builder::new()
                         .name("cs-daemon-conn".into())
-                        .spawn(move || serve_conn(conn, tx, counters, stop, tuning))
+                        .spawn(move || serve_conn(conn, tx, &published, counters, stop, tuning))
                     {
                         Ok(handle) => handlers.push(handle),
                         Err(e) => {
@@ -370,11 +398,13 @@ impl Daemon {
 }
 
 /// The engine loop: the only thread that touches the [`ShardedService`].
+/// It publishes the merged estimate to `published` after every tick.
 fn engine_loop(
     mut service: ShardedService,
     rx: mpsc::Receiver<Cmd>,
     tick_interval: Duration,
     checkpoint: Option<PathBuf>,
+    published: &Published,
 ) -> Result<(), Error> {
     loop {
         match rx.recv_timeout(tick_interval) {
@@ -384,9 +414,6 @@ fn engine_loop(
                     // itself (`queue_dropped`); nothing to do here.
                     let _ = service.push(to_observation(report));
                 }
-            }
-            Ok(Cmd::Estimate(reply)) => {
-                let _ = reply.send(Response::Estimate(service.latest().map(wire_estimate)));
             }
             Ok(Cmd::Stats(reply)) => {
                 let _ = reply.send(Response::Stats {
@@ -405,6 +432,9 @@ fn engine_loop(
             }
             Ok(Cmd::Sync { pushed, reply }) => {
                 let report = service.tick();
+                // Publish before the reply: a client that has seen
+                // `Synced` reads this tick's estimate on any connection.
+                publish(published, &service);
                 let _ = reply.send(Response::Synced {
                     pushed,
                     tick_us: report.tick_us,
@@ -416,17 +446,20 @@ fn engine_loop(
                 // Fold everything this client pushed into the state the
                 // checkpoint will capture, then acknowledge.
                 service.tick();
+                publish(published, &service);
                 let _ = reply.send(Response::Bye);
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if service.queue_len() > 0 {
                     service.tick();
+                    publish(published, &service);
                 }
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
     service.tick();
+    publish(published, &service);
     if let Some(path) = &checkpoint {
         service.save_checkpoint(path)?;
     }
@@ -512,6 +545,7 @@ fn read_frame_polled(
 fn serve_conn(
     mut conn: Conn,
     tx: mpsc::Sender<Cmd>,
+    published: &Published,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
     t: ConnTuning,
@@ -633,7 +667,9 @@ fn serve_conn(
                 }
             }
             Request::QueryEstimate => {
-                if !round_trip(&mut conn, &Cmd::Estimate) {
+                // Clone the snapshot under the lock, encode outside it.
+                let snapshot = lock(published).clone();
+                if write_frame(&mut conn, &snapshot_payload(snapshot)).is_err() {
                     return;
                 }
             }

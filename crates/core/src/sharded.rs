@@ -26,8 +26,14 @@
 //! flag the merge `stale`, as does any head-slot disagreement — a
 //! merged estimate is only `!stale` when every shard contributed a
 //! fresh, aligned block.
+//!
+//! Each rebuild builds the merged view into a fresh buffer and wraps it
+//! in an [`Arc`]: [`ShardedService::latest_shared`] hands that snapshot
+//! out without a copy (the daemon's connection threads encode from it),
+//! and [`ShardedService::latest`] borrows it.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use linalg::Matrix;
 
@@ -120,7 +126,7 @@ struct Shard {
 pub struct ShardedService {
     config: ServeConfig,
     shards: Vec<Shard>,
-    merged: Option<LiveEstimate>,
+    merged: Option<Arc<LiveEstimate>>,
 }
 
 fn add_stats(into: &mut ServeStats, s: ServeStats) {
@@ -291,7 +297,14 @@ impl ShardedService {
 
     /// The merged live estimate, or `None` before any shard has solved.
     pub fn latest(&self) -> Option<&LiveEstimate> {
-        self.merged.as_ref()
+        self.merged.as_deref()
+    }
+
+    /// The merged live estimate as a shared snapshot. A rebuild never
+    /// writes into a published buffer, so the snapshot stays the
+    /// estimate of the tick that built it for as long as it is held.
+    pub fn latest_shared(&self) -> Option<Arc<LiveEstimate>> {
+        self.merged.clone()
     }
 
     /// Admission counters summed over shards.
@@ -386,7 +399,8 @@ impl ShardedService {
     }
 
     /// Rebuilds the merged estimate from the shards' latest solves, row
-    /// by row into a fresh buffer (zeros where a shard has no row).
+    /// by row into a fresh buffer (zeros where a shard has no row), and
+    /// publishes it as a new snapshot.
     fn rebuild_merged(&mut self) {
         let slots = self.config.window_slots;
         let latest = || self.shards.iter().map(|s| s.service.latest());
@@ -423,7 +437,7 @@ impl ShardedService {
                 }
             }
         }
-        self.merged = Some(LiveEstimate {
+        self.merged = Some(Arc::new(LiveEstimate {
             estimate: Matrix::from_vec(slots, self.config.num_segments, data)
                 .expect("shards cover every column"),
             head_slot,
@@ -431,7 +445,7 @@ impl ShardedService {
             stale,
             sweeps,
             objective,
-        });
+        }));
     }
 
     /// Serializes every shard's `cs-serve-checkpoint v1` section (its

@@ -8,11 +8,11 @@
 use std::time::Duration;
 
 use proto::client::Client;
-use proto::msg::{ErrorCode, Request, Response, WireReport};
+use proto::msg::{ErrorCode, Request, Response, WireEstimate, WireReport};
 use proto::net::BindAddr;
 use traffic_cs::cs::CsConfig;
 use traffic_cs::daemon::{Daemon, DaemonConfig};
-use traffic_cs::service::{Observation, ServeConfig};
+use traffic_cs::service::{LiveEstimate, Observation, ServeConfig};
 use traffic_cs::sharded::{ShardPlan, ShardedService};
 
 const SLOT_LEN: u64 = 60;
@@ -131,6 +131,144 @@ fn four_shard_daemon_over_socket_matches_in_process_replay_bit_for_bit() {
     assert_eq!(stats.connections, 1);
     assert_eq!(stats.reports, observations.len() as u64);
     assert_eq!(stats.protocol_errors, 0);
+}
+
+/// Asserts a wire estimate equals an in-process one bit for bit.
+fn assert_same_estimate(got: &WireEstimate, want: &LiveEstimate, what: &str) {
+    assert_eq!(got.head_slot, want.head_slot as u64, "{what}: head slot");
+    assert_eq!(got.solved_at_s, want.solved_at_s, "{what}: solved_at_s");
+    assert_eq!(got.stale, want.stale, "{what}: stale");
+    assert_eq!(got.sweeps, want.sweeps as u64, "{what}: sweeps");
+    assert_eq!(got.objective_bits, want.objective.to_bits(), "{what}: objective");
+    assert_eq!((got.rows as usize, got.cols as usize), want.estimate.shape(), "{what}: shape");
+    let want_bits: Vec<u64> = want.estimate.as_slice().iter().map(|v| v.to_bits()).collect();
+    assert!(got.values_bits == want_bits, "{what}: cell bits differ");
+}
+
+fn query_estimate(client: &mut Client) -> Option<WireEstimate> {
+    match client.request(&Request::QueryEstimate).unwrap() {
+        Response::Estimate(est) => est,
+        other => panic!("expected Estimate, got {other:?}"),
+    }
+}
+
+#[test]
+fn estimate_queries_answer_from_the_last_epoch_during_a_long_tick() {
+    // Two shards. The first epoch solves shard 0 only; the second tick
+    // brings shard 1's first data, so it runs a cold solve of a full
+    // 400-sweep ALS over 6 × 1,500 cells. That keeps the engine inside
+    // one tick for far longer than the query below takes.
+    const SEGS: usize = 3_000;
+    let serve = ServeConfig::builder()
+        .slot_len_s(SLOT_LEN)
+        .window_slots(6)
+        .num_segments(SEGS)
+        .cs(CsConfig {
+            rank: 6,
+            lambda: 0.1,
+            iterations: 400,
+            tol: 0.0,
+            num_threads: 1,
+            ..CsConfig::default()
+        })
+        .queue_capacity(100_000)
+        .shards(ShardPlan::with_count(2))
+        .build()
+        .unwrap();
+    let report = |seg: usize, slot: u64, probe: u64| {
+        let speed = 20.0 + (seg % 13) as f64 + 2.0 * probe as f64 + slot as f64;
+        WireReport::new(probe * 10_000 + seg as u64, slot * SLOT_LEN + probe, seg as u64, speed)
+    };
+    let first: Vec<WireReport> =
+        (0..6).flat_map(|slot| (0..40).map(move |seg| report(seg, slot, 0))).collect();
+    let second: Vec<WireReport> = (0..6)
+        .flat_map(|slot| (SEGS / 2..SEGS).map(move |seg| report(seg, slot, 1)))
+        .filter(|r| (r.segment + r.timestamp_s) % 3 != 0)
+        .collect();
+
+    let mut cfg = daemon_cfg(2);
+    cfg.serve = serve;
+    let handle = Daemon::bind(cfg).unwrap().spawn().unwrap();
+    let mut ingest = Client::connect(handle.addr()).unwrap();
+    let mut reader = Client::connect(handle.addr()).unwrap();
+
+    ingest.send(&Request::ReportBatch(first)).unwrap();
+    assert!(matches!(ingest.request(&Request::Sync).unwrap(), Response::Synced { .. }));
+    let previous = query_estimate(&mut reader).expect("the first epoch solved shard 0");
+    assert!(previous.stale, "shard 1 has no estimate in the first epoch");
+
+    ingest.send(&Request::ReportBatch(second)).unwrap();
+    ingest.send(&Request::Sync).unwrap();
+    let sync_wait = std::thread::spawn(move || {
+        let synced = ingest.recv().unwrap();
+        (std::time::Instant::now(), synced, ingest)
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    let during = query_estimate(&mut reader).expect("the first epoch stays published");
+    let answered = std::time::Instant::now();
+    let (synced_at, synced, ingest) = sync_wait.join().unwrap();
+    let Response::Synced { tick_us, .. } = synced else {
+        panic!("expected Synced, got {synced:?}")
+    };
+    assert!(
+        answered < synced_at,
+        "the query waited for the tick ({tick_us} µs) instead of answering from the last epoch"
+    );
+    assert!(during == previous, "a query during a tick must read the previous epoch bit for bit");
+
+    let after = query_estimate(&mut reader).expect("the second epoch solved");
+    assert!(!after.stale, "both shards contribute after the second tick");
+    ingest.close();
+    reader.close();
+    handle.stop();
+    handle.join().unwrap();
+}
+
+#[test]
+fn queries_on_another_connection_read_each_synced_tick() {
+    // Two slots a tick over twelve slots: the 6-slot window slides from
+    // the fourth tick on.
+    let observations = synth_observations(12);
+    let ticks: Vec<Vec<Observation>> = (0..6)
+        .map(|t| {
+            let slots = 2 * t as u64..2 * t as u64 + 2;
+            observations
+                .iter()
+                .filter(|o| slots.contains(&(o.timestamp_s / SLOT_LEN)))
+                .copied()
+                .collect()
+        })
+        .collect();
+
+    let mut reference = ShardedService::new(serve_cfg(4)).unwrap();
+    let handle = Daemon::bind(daemon_cfg(4)).unwrap().spawn().unwrap();
+    let mut ingest = Client::connect(handle.addr()).unwrap();
+    let mut reader = Client::connect(handle.addr()).unwrap();
+    let mut heads = Vec::new();
+    for (t, batch) in ticks.iter().enumerate() {
+        for &o in batch {
+            reference.push(o);
+        }
+        reference.tick();
+        let want = reference.latest().expect("every tick carries data");
+        heads.push(want.head_slot);
+
+        ingest.send(&Request::ReportBatch(batch.iter().map(to_wire).collect())).unwrap();
+        match ingest.request(&Request::Sync).unwrap() {
+            Response::Synced { pushed, .. } => assert_eq!(pushed, batch.len() as u64),
+            other => panic!("expected Synced, got {other:?}"),
+        }
+        let got = query_estimate(&mut reader).expect("the tick published an estimate");
+        assert_same_estimate(&got, want, &format!("tick {t}"));
+    }
+    assert_eq!(heads, vec![5, 5, 5, 7, 9, 11], "the window slid");
+    ingest.close();
+    reader.close();
+    handle.stop();
+    let stats = handle.join().unwrap();
+    assert_eq!(stats.connections, 2);
+    // Two handshakes, then a batch, a sync and a query per tick.
+    assert_eq!(stats.frames, 2 + 3 * ticks.len() as u64);
 }
 
 #[cfg(unix)]

@@ -36,7 +36,7 @@ pub mod net;
 pub use client::{Client, ClientError};
 pub use frame::{frame_bytes, read_frame, write_frame, FrameError, HEADER_LEN, MAX_FRAME_LEN};
 pub use msg::{
-    DecodeError, ErrorCode, Request, Response, WireEstimate, WireReport, WireStats, PROTOCOL,
-    VERSION,
+    DecodeError, ErrorCode, EstimateHeader, Request, Response, WireEstimate, WireReport, WireStats,
+    PROTOCOL, VERSION,
 };
 pub use net::{BindAddr, Conn, Listener};

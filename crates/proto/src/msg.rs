@@ -92,6 +92,27 @@ pub struct WireEstimate {
     pub values_bits: Vec<u64>,
 }
 
+/// Everything of an estimate response but its cells: the borrowed
+/// entry point [`Response::encode_estimate`] takes these fields and the
+/// cells as a `&[f64]`. The fields mean what [`WireEstimate`]'s do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EstimateHeader {
+    /// Absolute slot index of the newest window row.
+    pub head_slot: u64,
+    /// Stream clock when the estimate was produced.
+    pub solved_at_s: u64,
+    /// Watchdog staleness / partial-merge flag.
+    pub stale: bool,
+    /// ALS sweeps the (slowest) solve ran.
+    pub sweeps: u64,
+    /// `f64::to_bits` of the summed solve objective.
+    pub objective_bits: u64,
+    /// Window rows (slots).
+    pub rows: u32,
+    /// Window columns (segments).
+    pub cols: u32,
+}
+
 /// Wire error category, carried by [`Response::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
@@ -286,14 +307,51 @@ const TAG_R_HEALTH: u8 = 0x85;
 const TAG_R_SYNCED: u8 = 0x86;
 const TAG_R_BYE: u8 = 0x87;
 
-/// Little-endian field writer over a growable buffer.
+/// Wire bytes of one [`WireReport`]: four `u64`s.
+const REPORT_LEN: usize = 32;
+
+/// Wire bytes of one [`WireStats`]: seven `u64`s.
+const STATS_LEN: usize = 56;
+
+/// Bytes of an `Estimate(Some(..))` payload before its cells: tag,
+/// presence, head slot, solve clock, stale flag, sweeps, objective,
+/// rows and cols.
+const ESTIMATE_HEAD_LEN: usize = 43;
+
+/// The little-endian `u64` in an 8-byte slice.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte field"))
+}
+
+/// The report in one `REPORT_LEN`-byte slice.
+fn report_from(bytes: &[u8]) -> WireReport {
+    let b: &[u8; REPORT_LEN] = bytes.try_into().expect("32-byte report");
+    WireReport {
+        vehicle: le_u64(&b[0..8]),
+        timestamp_s: le_u64(&b[8..16]),
+        segment: le_u64(&b[16..24]),
+        speed_bits: le_u64(&b[24..32]),
+    }
+}
+
+/// Little-endian field writer over a buffer sized once, up front, for
+/// the whole payload.
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn with_tag(tag: u8) -> Self {
-        Self { buf: vec![tag] }
+    /// A writer for a `len`-byte payload that starts with `tag`.
+    fn new(tag: u8, len: usize) -> Self {
+        let mut buf = Vec::with_capacity(len);
+        buf.push(tag);
+        Self { buf }
+    }
+
+    /// The payload; its length is the one [`Writer::new`] was sized for.
+    fn into_bytes(self) -> Vec<u8> {
+        debug_assert_eq!(self.buf.len(), self.buf.capacity(), "payload sized exactly");
+        self.buf
     }
 
     fn u8(&mut self, v: u8) {
@@ -316,11 +374,30 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn report(&mut self, r: &WireReport) {
-        self.u64(r.vehicle);
-        self.u64(r.timestamp_s);
-        self.u64(r.segment);
-        self.u64(r.speed_bits);
+    /// Appends `n` zero bytes and hands them out for one bulk pass.
+    fn block(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
+    }
+
+    /// Every report, `REPORT_LEN` bytes each, in one pass.
+    fn reports(&mut self, reports: &[WireReport]) {
+        let out = self.block(REPORT_LEN * reports.len());
+        for (b, r) in out.chunks_exact_mut(REPORT_LEN).zip(reports) {
+            b[0..8].copy_from_slice(&r.vehicle.to_le_bytes());
+            b[8..16].copy_from_slice(&r.timestamp_s.to_le_bytes());
+            b[16..24].copy_from_slice(&r.segment.to_le_bytes());
+            b[24..32].copy_from_slice(&r.speed_bits.to_le_bytes());
+        }
+    }
+
+    /// Every value as 8 little-endian bytes, in one pass.
+    fn words<T: Copy>(&mut self, values: &[T], to_le: impl Fn(T) -> [u8; 8]) {
+        let out = self.block(8 * values.len());
+        for (b, &v) in out.chunks_exact_mut(8).zip(values) {
+            b.copy_from_slice(&to_le(v));
+        }
     }
 
     fn stats(&mut self, s: &WireStats) {
@@ -337,6 +414,28 @@ impl Writer {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
+}
+
+/// The one estimate writer: header fields, then the cells in one pass.
+/// `to_le` gives a cell's 8 wire bytes, so `f64` cells
+/// (`f64::to_le_bytes`) and bit patterns (`u64::to_le_bytes`) encode
+/// alike, NaN payloads included.
+fn estimate_payload<T: Copy>(
+    h: &EstimateHeader,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; 8],
+) -> Vec<u8> {
+    let mut w = Writer::new(TAG_R_ESTIMATE, ESTIMATE_HEAD_LEN + 8 * values.len());
+    w.u8(1);
+    w.u64(h.head_slot);
+    w.u64(h.solved_at_s);
+    w.bool(h.stale);
+    w.u64(h.sweeps);
+    w.u64(h.objective_bits);
+    w.u32(h.rows);
+    w.u32(h.cols);
+    w.words(values, to_le);
+    w.into_bytes()
 }
 
 /// Little-endian field reader with typed exhaustion errors.
@@ -381,16 +480,7 @@ impl<'a> Reader<'a> {
     }
 
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("take(8)")))
-    }
-
-    fn report(&mut self) -> Result<WireReport, DecodeError> {
-        Ok(WireReport {
-            vehicle: self.u64()?,
-            timestamp_s: self.u64()?,
-            segment: self.u64()?,
-            speed_bits: self.u64()?,
-        })
+        Ok(le_u64(self.take(8)?))
     }
 
     fn stats(&mut self) -> Result<WireStats, DecodeError> {
@@ -436,22 +526,20 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Request::Hello { version } => {
-                let mut w = Writer::with_tag(TAG_HELLO);
+                let mut w = Writer::new(TAG_HELLO, 3);
                 w.u16(*version);
-                w.buf
+                w.into_bytes()
             }
             Request::Report(r) => {
-                let mut w = Writer::with_tag(TAG_REPORT);
-                w.report(r);
-                w.buf
+                let mut w = Writer::new(TAG_REPORT, 1 + REPORT_LEN);
+                w.reports(std::slice::from_ref(r));
+                w.into_bytes()
             }
             Request::ReportBatch(reports) => {
-                let mut w = Writer::with_tag(TAG_REPORT_BATCH);
+                let mut w = Writer::new(TAG_REPORT_BATCH, 5 + REPORT_LEN * reports.len());
                 w.u32(reports.len() as u32);
-                for r in reports {
-                    w.report(r);
-                }
-                w.buf
+                w.reports(reports);
+                w.into_bytes()
             }
             Request::QueryEstimate => vec![TAG_QUERY_ESTIMATE],
             Request::QueryStats => vec![TAG_QUERY_STATS],
@@ -467,15 +555,12 @@ impl Request {
         let tag = r.u8().map_err(|_| DecodeError::Empty)?;
         let msg = match tag {
             TAG_HELLO => Request::Hello { version: r.u16()? },
-            TAG_REPORT => Request::Report(r.report()?),
+            TAG_REPORT => Request::Report(report_from(r.take(REPORT_LEN)?)),
             TAG_REPORT_BATCH => {
                 let count = r.u32()? as usize;
-                r.check_len(count, 32)?;
-                let mut reports = Vec::with_capacity(count);
-                for _ in 0..count {
-                    reports.push(r.report()?);
-                }
-                Request::ReportBatch(reports)
+                r.check_len(count, REPORT_LEN)?;
+                let bytes = r.take(count * REPORT_LEN)?;
+                Request::ReportBatch(bytes.chunks_exact(REPORT_LEN).map(report_from).collect())
             }
             TAG_QUERY_ESTIMATE => Request::QueryEstimate,
             TAG_QUERY_STATS => Request::QueryStats,
@@ -494,64 +579,72 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Response::Hello { version } => {
-                let mut w = Writer::with_tag(TAG_R_HELLO);
+                let mut w = Writer::new(TAG_R_HELLO, 3);
                 w.u16(*version);
-                w.buf
+                w.into_bytes()
             }
             Response::Error { code, message } => {
-                let mut w = Writer::with_tag(TAG_R_ERROR);
+                let mut w = Writer::new(TAG_R_ERROR, 7 + message.len());
                 w.u16(code.to_u16());
                 w.str(message);
-                w.buf
+                w.into_bytes()
             }
-            Response::Estimate(est) => {
-                let mut w = Writer::with_tag(TAG_R_ESTIMATE);
-                match est {
-                    None => w.u8(0),
-                    Some(e) => {
-                        w.u8(1);
-                        w.u64(e.head_slot);
-                        w.u64(e.solved_at_s);
-                        w.bool(e.stale);
-                        w.u64(e.sweeps);
-                        w.u64(e.objective_bits);
-                        w.u32(e.rows);
-                        w.u32(e.cols);
-                        for &bits in &e.values_bits {
-                            w.u64(bits);
-                        }
-                    }
-                }
-                w.buf
+            Response::Estimate(None) => vec![TAG_R_ESTIMATE, 0],
+            Response::Estimate(Some(e)) => {
+                let header = EstimateHeader {
+                    head_slot: e.head_slot,
+                    solved_at_s: e.solved_at_s,
+                    stale: e.stale,
+                    sweeps: e.sweeps,
+                    objective_bits: e.objective_bits,
+                    rows: e.rows,
+                    cols: e.cols,
+                };
+                estimate_payload(&header, &e.values_bits, u64::to_le_bytes)
             }
             Response::Stats { merged, shards } => {
-                let mut w = Writer::with_tag(TAG_R_STATS);
+                let mut w = Writer::new(TAG_R_STATS, 5 + STATS_LEN * (1 + shards.len()));
                 w.stats(merged);
                 w.u32(shards.len() as u32);
                 for s in shards {
                     w.stats(s);
                 }
-                w.buf
+                w.into_bytes()
             }
             Response::Health { ok, shards, segments, queue_len, clock_s } => {
-                let mut w = Writer::with_tag(TAG_R_HEALTH);
+                let mut w = Writer::new(TAG_R_HEALTH, 30);
                 w.bool(*ok);
                 w.u32(*shards);
                 w.u64(*segments);
                 w.u64(*queue_len);
                 w.u64(*clock_s);
-                w.buf
+                w.into_bytes()
             }
             Response::Synced { pushed, tick_us, solve_us, stats } => {
-                let mut w = Writer::with_tag(TAG_R_SYNCED);
+                let mut w = Writer::new(TAG_R_SYNCED, 25 + STATS_LEN);
                 w.u64(*pushed);
                 w.u64(*tick_us);
                 w.u64(*solve_us);
                 w.stats(stats);
-                w.buf
+                w.into_bytes()
             }
             Response::Bye => vec![TAG_R_BYE],
         }
+    }
+
+    /// Encodes `Response::Estimate(Some(..))` straight from borrowed
+    /// `f64` cells (row-major, `rows × cols` of them), byte for byte as
+    /// [`Response::encode`] encodes the same estimate carried as
+    /// `f64::to_bits` patterns — what a server holding the cells in its
+    /// own buffer sends without first copying them into a
+    /// [`WireEstimate`].
+    pub fn encode_estimate(header: &EstimateHeader, values: &[f64]) -> Vec<u8> {
+        debug_assert_eq!(
+            values.len(),
+            header.rows as usize * header.cols as usize,
+            "one value per cell"
+        );
+        estimate_payload(header, values, f64::to_le_bytes)
     }
 
     /// Decodes one response payload; total over arbitrary bytes.
@@ -577,10 +670,7 @@ impl Response {
                     let cols = r.u32()?;
                     let count = (rows as usize).saturating_mul(cols as usize);
                     r.check_len(count, 8)?;
-                    let mut values_bits = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        values_bits.push(r.u64()?);
-                    }
+                    let values_bits = r.take(count * 8)?.chunks_exact(8).map(le_u64).collect();
                     Response::Estimate(Some(WireEstimate {
                         head_slot,
                         solved_at_s,
@@ -597,7 +687,7 @@ impl Response {
             TAG_R_STATS => {
                 let merged = r.stats()?;
                 let count = r.u32()? as usize;
-                r.check_len(count, 56)?;
+                r.check_len(count, STATS_LEN)?;
                 let mut shards = Vec::with_capacity(count);
                 for _ in 0..count {
                     shards.push(r.stats()?);

@@ -10,11 +10,18 @@
 //! 2. **Totality** — truncating or corrupting any encoded frame yields
 //!    a typed [`DecodeError`], never a panic. The decoders run over
 //!    fully arbitrary byte soup too.
+//!
+//! Estimates include shapes with a zero dimension and rows of up to 64
+//! cells, so the codec's bulk passes meet empty and odd-length tails,
+//! and the borrowed `&[f64]` entry point must produce the owned
+//! encoding's bytes.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use proto::{DecodeError, ErrorCode, Request, Response, WireEstimate, WireReport, WireStats};
+use proto::{
+    DecodeError, ErrorCode, EstimateHeader, Request, Response, WireEstimate, WireReport, WireStats,
+};
 
 const FULL_U64: std::ops::RangeInclusive<u64> = 0..=u64::MAX;
 
@@ -61,7 +68,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 }
 
 fn estimate_strategy() -> impl Strategy<Value = WireEstimate> {
-    (FULL_U64, FULL_U64, 0u8..=1, FULL_U64, FULL_U64, 1u32..5, 1u32..5).prop_flat_map(
+    (FULL_U64, FULL_U64, 0u8..=1, FULL_U64, FULL_U64, 0u32..5, 0u32..=64).prop_flat_map(
         |(head_slot, solved_at_s, stale, sweeps, objective_bits, rows, cols)| {
             vec(FULL_U64, (rows * cols) as usize).prop_map(move |values_bits| WireEstimate {
                 head_slot,
@@ -153,6 +160,44 @@ proptest! {
                 "unexpected error class for truncation: {other:?}"
             ))),
         }
+    }
+
+    #[test]
+    fn truncated_responses_fail_typed(resp in response_strategy()) {
+        let bytes = resp.encode();
+        for cut in 0..bytes.len() {
+            match Response::decode(&bytes[..cut]) {
+                // Every strict prefix must fail: the codec has no
+                // optional trailing fields.
+                Err(
+                    DecodeError::Empty
+                    | DecodeError::Truncated { .. }
+                    | DecodeError::UnknownTag(_)
+                ) => {}
+                Ok(msg) => return Err(TestCaseError::Fail(format!(
+                    "prefix of {cut}/{} bytes decoded as {msg:?}", bytes.len()
+                ))),
+                Err(other) => return Err(TestCaseError::Fail(format!(
+                    "unexpected error class for truncation at {cut}: {other:?}"
+                ))),
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_estimate_encoding_matches_the_owned_one(est in estimate_strategy()) {
+        let header = EstimateHeader {
+            head_slot: est.head_slot,
+            solved_at_s: est.solved_at_s,
+            stale: est.stale,
+            sweeps: est.sweeps,
+            objective_bits: est.objective_bits,
+            rows: est.rows,
+            cols: est.cols,
+        };
+        let values: Vec<f64> = est.values_bits.iter().map(|&b| f64::from_bits(b)).collect();
+        let borrowed = Response::encode_estimate(&header, &values);
+        prop_assert_eq!(borrowed, Response::Estimate(Some(est)).encode());
     }
 
     #[test]
